@@ -17,6 +17,11 @@ namespace {
 
 using namespace mcsim;
 
+// Minimum measuring time per benchmark, set here rather than with
+// --benchmark_min_time, whose value syntax differs between gbench releases
+// ("0.05" vs "0.05s"). These rows are advisory, so short runs suffice.
+constexpr double kMinTime = 0.05;
+
 void BM_CalendarPushPop(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   Rng rng(1);
@@ -28,7 +33,7 @@ void BM_CalendarPushPop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
 }
-BENCHMARK(BM_CalendarPushPop)->Arg(256)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_CalendarPushPop)->Arg(256)->Arg(4096)->Arg(65536)->MinTime(kMinTime);
 
 void BM_CalendarHold(benchmark::State& state) {
   // The classic "hold" model: steady-state push/pop on a part-full calendar.
@@ -43,7 +48,7 @@ void BM_CalendarHold(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_CalendarHold);
+BENCHMARK(BM_CalendarHold)->MinTime(kMinTime);
 
 void BM_CalendarCancelHeavy(benchmark::State& state) {
   // The engine's real pop path: jobs schedule cancellable events (departure
@@ -66,7 +71,7 @@ void BM_CalendarCancelHeavy(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_CalendarCancelHeavy);
+BENCHMARK(BM_CalendarCancelHeavy)->MinTime(kMinTime);
 
 void BM_Placement(benchmark::State& state) {
   const auto rule = static_cast<PlacementRule>(state.range(0));
@@ -87,14 +92,15 @@ void BM_Placement(benchmark::State& state) {
 BENCHMARK(BM_Placement)
     ->Arg(static_cast<int>(PlacementRule::kWorstFit))
     ->Arg(static_cast<int>(PlacementRule::kFirstFit))
-    ->Arg(static_cast<int>(PlacementRule::kBestFit));
+    ->Arg(static_cast<int>(PlacementRule::kBestFit))
+    ->MinTime(kMinTime);
 
 void BM_SampleDasS128(benchmark::State& state) {
   Rng rng(4);
   for (auto _ : state) benchmark::DoNotOptimize(das_s_128().sample(rng));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_SampleDasS128);
+BENCHMARK(BM_SampleDasS128)->MinTime(kMinTime);
 
 void BM_SampleDasT900(benchmark::State& state) {
   Rng rng(5);
@@ -102,7 +108,7 @@ void BM_SampleDasT900(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(dist->sample(rng));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_SampleDasT900);
+BENCHMARK(BM_SampleDasT900)->MinTime(kMinTime);
 
 void BM_EndToEndSimulation(benchmark::State& state) {
   const auto policy = static_cast<PolicyKind>(state.range(0));
@@ -125,7 +131,8 @@ BENCHMARK(BM_EndToEndSimulation)
     ->Arg(static_cast<int>(PolicyKind::kLS))
     ->Arg(static_cast<int>(PolicyKind::kLP))
     ->Arg(static_cast<int>(PolicyKind::kSC))
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(kMinTime);
 
 // The observability zero-cost contract (BENCH_obs.json): BM_EngineHot is
 // the engine with no sink attached — the body is BM_EndToEndSimulation's,
@@ -154,7 +161,8 @@ BENCHMARK(BM_EngineHot)
     ->Arg(static_cast<int>(PolicyKind::kLS))
     ->Arg(static_cast<int>(PolicyKind::kLP))
     ->Arg(static_cast<int>(PolicyKind::kSC))
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(kMinTime);
 
 void BM_EngineTraced(benchmark::State& state) {
   const auto policy = static_cast<PolicyKind>(state.range(0));
@@ -184,7 +192,8 @@ void BM_EngineTraced(benchmark::State& state) {
 BENCHMARK(BM_EngineTraced)
     ->Arg(static_cast<int>(PolicyKind::kGS))
     ->Arg(static_cast<int>(PolicyKind::kLS))
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(kMinTime);
 
 // Placement-rule ablation at the system level: does WF vs FF/BF move the
 // response time? (DESIGN.md ablation; the paper fixes WF.)
@@ -209,7 +218,8 @@ BENCHMARK(BM_PlacementRuleAblation)
     ->Arg(static_cast<int>(PlacementRule::kWorstFit))
     ->Arg(static_cast<int>(PlacementRule::kFirstFit))
     ->Arg(static_cast<int>(PlacementRule::kBestFit))
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(kMinTime);
 
 }  // namespace
 

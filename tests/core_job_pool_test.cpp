@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <stdexcept>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -91,42 +90,6 @@ TEST(JobPool, CapacityCountsConstructedJobs) {
   pool.release(job);
   (void)pool.acquire(spec_with_id(2));
   EXPECT_EQ(pool.capacity(), 1u);
-}
-
-// Sharded free lanes (the parallel engine's pool layout): release returns
-// a job to the lane of the shard that acquired it, each lane recycles
-// LIFO independently, and the default single shard is exactly the
-// historical pool.
-TEST(JobPool, ShardedFreeLanesRecycleIndependently) {
-  JobPool pool;
-  pool.configure_shards(3);
-  EXPECT_EQ(pool.shard_count(), 3u);
-
-  Job* a = pool.acquire(spec_with_id(1), /*shard=*/0);
-  Job* b = pool.acquire(spec_with_id(2), /*shard=*/1);
-  Job* c = pool.acquire(spec_with_id(3), /*shard=*/1);
-  EXPECT_EQ(a->pool_shard, 0u);
-  EXPECT_EQ(b->pool_shard, 1u);
-
-  pool.release(b);
-  pool.release(c);
-  pool.release(a);
-  // Shard 1's lane is LIFO on its own: c then b; shard 0 returns a; shard
-  // 2's empty lane falls back to fresh slab slots.
-  EXPECT_EQ(pool.acquire(spec_with_id(4), 1), c);
-  EXPECT_EQ(pool.acquire(spec_with_id(5), 1), b);
-  EXPECT_EQ(pool.acquire(spec_with_id(6), 0), a);
-  Job* fresh = pool.acquire(spec_with_id(7), 2);
-  EXPECT_NE(fresh, a);
-  EXPECT_NE(fresh, b);
-  EXPECT_NE(fresh, c);
-  EXPECT_EQ(fresh->pool_shard, 2u);
-}
-
-TEST(JobPool, ConfigureShardsRequiresFreshPool) {
-  JobPool pool;
-  (void)pool.acquire(spec_with_id(1));
-  EXPECT_THROW(pool.configure_shards(2), std::invalid_argument);
 }
 
 // The end-to-end consequence: two runs of the same scenario in the same

@@ -114,6 +114,22 @@ TEST(ScenarioSpecJson, UnknownKeysAreRejected) {
   EXPECT_THROW(exp::scenario_from_json(
                    obs::parse_json(R"({"workload": {"sizemodel": "das-s-128"}})")),
                std::invalid_argument);
+  // The removed event-core selector is an unknown key like any other, at
+  // the top level and in the run block where it used to live.
+  const auto rejection = [](const std::string& json) {
+    try {
+      (void)exp::scenario_from_json(obs::parse_json(json));
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("accepted");
+  };
+  for (const std::string engine : {"parallel", "serial"}) {
+    const std::string field = R"("engine": ")" + engine + '"';
+    EXPECT_EQ(rejection("{" + field + "}"), R"(mcsim: scenario: unknown key "engine")");
+    EXPECT_EQ(rejection(R"({"run": {)" + field + "}}"),
+              R"(mcsim: scenario: unknown run key "engine")");
+  }
 }
 
 TEST(ScenarioSpecJson, WrongSchemaIsRejected) {

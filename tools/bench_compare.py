@@ -5,6 +5,10 @@ Compares a google-benchmark JSON result against bench/baseline.json and
 fails (exit 1) when any gated benchmark regressed by more than the
 threshold (default 10%).
 
+Each benchmark is scored by the `median` aggregate over at least
+MIN_REPETITIONS repetitions, never by a single iteration row: single runs
+of the replay loop vary by more than the threshold on a busy host.
+
 Raw events/sec depends on the host, so the gate scores each benchmark by
 its *calibration-normalized ratio*: throughput divided by the
 BM_CalendarCalibration items/sec measured in the same run. The calibration
@@ -12,16 +16,10 @@ loop (raw calendar push/pop at fixed occupancy) scales with machine speed
 the same way the replay loop does, so the ratio is stable across hosts
 while still catching real regressions in the simulation hot path.
 
-The parallel-engine replay row (BM_ReplayThroughputParallel/GS) is checked
-differently: its absolute throughput depends on the core count, so instead
-of a normalized ratio the gate asserts a >= 1.5x events/sec speedup over
-the serial GS row — but only on runners with >= 4 cores. Smaller runners
-print an explicit SKIPPED line (recording the core count from the gbench
-context) rather than passing silently.
-
 Usage:
   # Gate a fresh run against the checked-in baseline:
-  ./build/bench/replay_throughput --benchmark_format=json > results.json
+  ./build/bench/replay_throughput --benchmark_repetitions=5 \
+      --benchmark_format=json > results.json
   python3 tools/bench_compare.py results.json bench/baseline.json
 
   # Refresh the baseline after an intentional performance change
@@ -32,62 +30,37 @@ Usage:
 
 import argparse
 import json
+import re
 import sys
 
 CALIBRATION = "BM_CalendarCalibration"
 GATED = ["BM_ReplayThroughput/GS", "BM_ReplayThroughput/LS"]
-# The parallel-engine replay (bit-identical results, wall-clock row). Not
-# ratio-gated — its throughput depends on the core count — but on a runner
-# with >= MIN_SPEEDUP_CORES cores it must beat the serial GS row by the
-# speedup floor. Smaller runners SKIP that assertion out loud; they never
-# silently pass it (docs/PARALLEL.md).
-PARALLEL = "BM_ReplayThroughputParallel/GS/real_time"
-PARALLEL_BASELINE_OF = "BM_ReplayThroughput/GS"
-MIN_SPEEDUP = 1.5
-MIN_SPEEDUP_CORES = 4
+MIN_REPETITIONS = 5
 
 
-def load_results(path):
-    """Return ({benchmark name: items_per_second}, num_cpus) from gbench JSON."""
+def load_rates(path):
+    """Return {benchmark name: median items_per_second} from a gbench JSON file."""
     with open(path) as f:
         doc = json.load(f)
     rates = {}
     for bench in doc.get("benchmarks", []):
-        # Aggregate rows (mean/median/stddev) would double-count; keep
-        # plain iteration rows only.
-        if bench.get("run_type", "iteration") != "iteration":
+        # Only the median aggregate is scored: iteration rows are single
+        # noisy runs, and the mean is pulled by outliers.
+        if bench.get("run_type") != "aggregate" or bench.get("aggregate_name") != "median":
             continue
+        # MinTime() registrations append "/min_time:<seconds>" to the name;
+        # the baseline keys benchmarks without it.
+        name = re.sub(r"/min_time:[0-9.]+", "", bench["run_name"])
+        if bench.get("repetitions", 0) < MIN_REPETITIONS:
+            sys.exit(f"error: {name} has {bench.get('repetitions', 0)} repetitions; "
+                     f"run with --benchmark_repetitions={MIN_REPETITIONS} or more")
         rate = bench.get("items_per_second")
         if rate:
-            rates[bench["name"]] = rate
-    return rates, doc.get("context", {}).get("num_cpus")
-
-
-def check_parallel_speedup(rates, num_cpus, policy=None):
-    """Assert the parallel engine's speedup, or skip loudly. Returns ok.
-
-    `policy` is the baseline's optional "parallel" object; keys override
-    the module defaults so the floor lives in bench/baseline.json next to
-    the serial ratios.
-    """
-    policy = policy or {}
-    parallel = policy.get("benchmark", PARALLEL)
-    over = policy.get("speedup_over", PARALLEL_BASELINE_OF)
-    min_speedup = policy.get("min_speedup", MIN_SPEEDUP)
-    min_cores = policy.get("min_cores", MIN_SPEEDUP_CORES)
-    if parallel not in rates:
-        print(f"parallel speedup: SKIPPED ({parallel} absent from results)")
-        return True
-    speedup = rates[parallel] / rates[over]
-    if num_cpus is None or num_cpus < min_cores:
-        cores = "unknown" if num_cpus is None else str(num_cpus)
-        print(f"parallel speedup: {speedup:.2f}x — assertion SKIPPED "
-              f"(runner has {cores} cores, need >= {min_cores})")
-        return True
-    status = "ok" if speedup >= min_speedup else "REGRESSION"
-    print(f"parallel speedup: {speedup:.2f}x vs required {min_speedup}x "
-          f"on {num_cpus} cores {status}")
-    return speedup >= min_speedup
+            rates[name] = rate
+    if not rates:
+        sys.exit("error: results carry no median aggregates; run with "
+                 f"--benchmark_repetitions={MIN_REPETITIONS} or more")
+    return rates
 
 
 def normalized_ratios(rates):
@@ -110,8 +83,7 @@ def main():
                         help="rewrite the baseline from these results instead of gating")
     args = parser.parse_args()
 
-    rates, num_cpus = load_results(args.results)
-    ratios = normalized_ratios(rates)
+    ratios = normalized_ratios(load_rates(args.results))
 
     if args.update:
         baseline = {
@@ -130,8 +102,7 @@ def main():
         return 0
 
     with open(args.baseline) as f:
-        baseline_doc = json.load(f)
-    expected = baseline_doc["ratios"]
+        expected = json.load(f)["ratios"]
 
     failed = False
     for name in GATED:
@@ -145,9 +116,6 @@ def main():
             failed = True
         print(f"{name}: ratio {current:.4f} vs baseline {base:.4f} "
               f"({change:+.1%}) {status}")
-
-    if not check_parallel_speedup(rates, num_cpus, baseline_doc.get("parallel")):
-        failed = True
 
     if failed:
         print(f"FAIL: regression beyond {args.threshold:.0%} threshold; "

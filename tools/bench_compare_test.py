@@ -23,25 +23,33 @@ BENCH_COMPARE = REPO_ROOT / "tools" / "bench_compare.py"
 CALIBRATION = "BM_CalendarCalibration"
 GS = "BM_ReplayThroughput/GS"
 LS = "BM_ReplayThroughput/LS"
-PARALLEL = "BM_ReplayThroughputParallel/GS/real_time"
 
 
-def gbench_json(rates, num_cpus=None):
-    """A minimal google-benchmark JSON document with the given items/sec."""
-    benchmarks = [
-        {"name": name, "run_type": "iteration", "items_per_second": rate}
+def gbench_json(rates, repetitions=5):
+    """A minimal google-benchmark JSON document whose median rows carry the
+    given items/sec, as written by --benchmark_repetitions."""
+    benchmarks = []
+    for name, rate in rates.items():
+        # Iteration rows and the mean with wildly wrong rates: only the
+        # median may be scored.
+        for index in range(repetitions):
+            benchmarks.append({"name": name, "run_name": name, "run_type": "iteration",
+                               "repetition_index": index, "items_per_second": 1.0})
+        for aggregate, value in (("mean", 1.0), ("median", rate)):
+            benchmarks.append({
+                "name": f"{name}_{aggregate}", "run_name": name,
+                "run_type": "aggregate", "aggregate_name": aggregate,
+                "repetitions": repetitions, "items_per_second": value,
+            })
+    return {"benchmarks": benchmarks}
+
+
+def single_run_json(rates):
+    """A document from a run without --benchmark_repetitions."""
+    return {"benchmarks": [
+        {"name": name, "run_name": name, "run_type": "iteration", "items_per_second": rate}
         for name, rate in rates.items()
-    ]
-    # An aggregate row with a wildly wrong rate: load_rates must skip it.
-    benchmarks.append({
-        "name": GS + "_mean",
-        "run_type": "aggregate",
-        "items_per_second": 1.0,
-    })
-    doc = {"benchmarks": benchmarks}
-    if num_cpus is not None:
-        doc["context"] = {"num_cpus": num_cpus}
-    return doc
+    ]}
 
 
 class BenchCompareTest(unittest.TestCase):
@@ -108,6 +116,30 @@ class BenchCompareTest(unittest.TestCase):
         self.assertNotEqual(proc.returncode, 0)
         self.assertIn(CALIBRATION, proc.stderr + proc.stdout)
 
+    def test_min_time_suffix_is_ignored(self):
+        # MinTime() registrations rename rows to "<name>/min_time:0.300".
+        doc = gbench_json({CALIBRATION: 10e6, GS: 3.2e6, LS: 3e6})
+        for bench in doc["benchmarks"]:
+            bench["run_name"] += "/min_time:0.300"
+        results = self.write("results.json", doc)
+        proc = self.run_gate(results, self.baseline(0.4, 0.3))
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn(f"{GS}: ratio 0.3200", proc.stdout)
+
+    def test_single_run_results_are_an_error(self):
+        results = self.write("results.json",
+                             single_run_json({CALIBRATION: 10e6, GS: 4e6, LS: 3e6}))
+        proc = self.run_gate(results, self.baseline(0.4, 0.3))
+        self.assertNotEqual(proc.returncode, 0)
+        self.assertIn("--benchmark_repetitions", proc.stderr + proc.stdout)
+
+    def test_too_few_repetitions_are_an_error(self):
+        results = self.write("results.json",
+                             gbench_json({CALIBRATION: 10e6, GS: 4e6, LS: 3e6}, repetitions=3))
+        proc = self.run_gate(results, self.baseline(0.4, 0.3))
+        self.assertNotEqual(proc.returncode, 0)
+        self.assertIn("3 repetitions", proc.stderr + proc.stdout)
+
     def test_update_writes_baseline_that_then_passes(self):
         results = self.write("results.json",
                              gbench_json({CALIBRATION: 10e6, GS: 4e6, LS: 3e6}))
@@ -119,49 +151,6 @@ class BenchCompareTest(unittest.TestCase):
         self.assertAlmostEqual(written["ratios"][LS], 0.3)
         proc = self.run_gate(results, baseline)
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-
-    # -- the parallel-engine speedup assertion ---------------------------
-
-    def test_speedup_met_on_big_runner_passes(self):
-        results = self.write("results.json", gbench_json(
-            {CALIBRATION: 10e6, GS: 4e6, LS: 3e6, PARALLEL: 8e6}, num_cpus=8))
-        proc = self.run_gate(results, self.baseline(0.4, 0.3))
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("2.00x", proc.stdout)
-        self.assertNotIn("SKIPPED", proc.stdout)
-
-    def test_speedup_missed_on_big_runner_fails(self):
-        # 1.2x on 8 cores is below the 1.5x floor: must exit 1.
-        results = self.write("results.json", gbench_json(
-            {CALIBRATION: 10e6, GS: 4e6, LS: 3e6, PARALLEL: 4.8e6}, num_cpus=8))
-        proc = self.run_gate(results, self.baseline(0.4, 0.3))
-        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
-        self.assertIn("REGRESSION", proc.stdout)
-
-    def test_speedup_skipped_not_passed_on_small_runner(self):
-        # Even a parallel *slowdown* is fine on 1 core — but the skip must
-        # be printed, never silent.
-        results = self.write("results.json", gbench_json(
-            {CALIBRATION: 10e6, GS: 4e6, LS: 3e6, PARALLEL: 2e6}, num_cpus=1))
-        proc = self.run_gate(results, self.baseline(0.4, 0.3))
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("SKIPPED", proc.stdout)
-        self.assertIn("1 cores", proc.stdout)
-
-    def test_speedup_skipped_when_core_count_unknown(self):
-        results = self.write("results.json", gbench_json(
-            {CALIBRATION: 10e6, GS: 4e6, LS: 3e6, PARALLEL: 2e6}))
-        proc = self.run_gate(results, self.baseline(0.4, 0.3))
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("SKIPPED", proc.stdout)
-
-    def test_speedup_skipped_when_parallel_row_absent(self):
-        # Old result files (no parallel row) still gate the serial ratios.
-        results = self.write("results.json", gbench_json(
-            {CALIBRATION: 10e6, GS: 4e6, LS: 3e6}, num_cpus=8))
-        proc = self.run_gate(results, self.baseline(0.4, 0.3))
-        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        self.assertIn("SKIPPED", proc.stdout)
 
     def test_checked_in_baseline_is_well_formed(self):
         doc = json.loads((REPO_ROOT / "bench" / "baseline.json").read_text())
