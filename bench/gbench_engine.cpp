@@ -1,7 +1,10 @@
 // Engine microbenchmarks (google-benchmark): the DES calendar, placement
-// rules (the WF/FF/BF ablation from DESIGN.md), distribution sampling, and
-// end-to-end simulation throughput per policy.
+// rules (the WF/FF/BF ablation from DESIGN.md), distribution sampling, SWF
+// stream parsing, and end-to-end simulation throughput per policy.
 #include <benchmark/benchmark.h>
+
+#include <sstream>
+#include <string>
 
 #include "cluster/placement.hpp"
 #include "core/engine.hpp"
@@ -9,6 +12,8 @@
 #include "obs/ring_recorder.hpp"
 #include "obs/swf_builder.hpp"
 #include "sim/calendar.hpp"
+#include "trace/swf_stream.hpp"
+#include "trace/synthetic_log.hpp"
 #include "util/rng.hpp"
 #include "workload/das_workload.hpp"
 #include "workload/job_splitter.hpp"
@@ -194,6 +199,30 @@ BENCHMARK(BM_EngineTraced)
     ->Arg(static_cast<int>(PolicyKind::kLS))
     ->Unit(benchmark::kMillisecond)
     ->MinTime(kMinTime);
+
+// The SWF parse layer in bytes per second: SwfStreamReader over a
+// generated DAS1-like log held in memory, so the row measures parsing, not
+// the disk.
+void BM_SwfStreamParse(benchmark::State& state) {
+  SyntheticLogConfig config;
+  config.num_jobs = 20000;
+  std::ostringstream out;
+  write_swf(out, generate_synthetic_das1_log(config));
+  const std::string log = out.str();
+  std::istringstream in(log);
+  std::uint64_t records = 0;
+  for (auto _ : state) {
+    in.clear();
+    in.seekg(0);
+    SwfStreamReader reader(in, "<bench>");
+    TraceRecord record;
+    while (reader.next(record)) benchmark::DoNotOptimize(record);
+    records += reader.records_read();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * log.size()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(records));
+}
+BENCHMARK(BM_SwfStreamParse)->Unit(benchmark::kMillisecond)->MinTime(kMinTime);
 
 // Placement-rule ablation at the system level: does WF vs FF/BF move the
 // response time? (DESIGN.md ablation; the paper fixes WF.)

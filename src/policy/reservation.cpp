@@ -17,10 +17,10 @@ std::pair<double, std::uint32_t> ReservationTracker::head_reservation(
   // Identical to the historical PolicyGS implementation (the EASY goldens
   // are sealed on its exact accumulation order): sort a copy by end time
   // and accumulate returning processors until the head fits.
-  std::vector<RunningJob> by_end = running_;
-  std::sort(by_end.begin(), by_end.end(),
+  by_end_.assign(running_.begin(), running_.end());
+  std::sort(by_end_.begin(), by_end_.end(),
             [](const RunningJob& a, const RunningJob& b) { return a.end_time < b.end_time; });
-  for (const RunningJob& job : by_end) {
+  for (const RunningJob& job : by_end_) {
     idle += job.processors;
     if (idle >= needed) {
       return {job.end_time, idle - needed};
@@ -35,21 +35,20 @@ void AvailabilityProfile::reset(double now, std::uint32_t idle,
                                 const std::vector<ReservationTracker::RunningJob>& running) {
   points_.clear();
   points_.emplace_back(now, idle);
-  std::vector<std::pair<double, std::uint32_t>> ends;
-  ends.reserve(running.size());
+  ends_.clear();
   for (const ReservationTracker::RunningJob& job : running) {
     if (job.end_time <= now) {
       // Already completed (the departure releasing it is being processed);
       // its processors are part of the free count from now on.
       points_.front().second += job.processors;
     } else {
-      ends.emplace_back(job.end_time, job.processors);
+      ends_.emplace_back(job.end_time, job.processors);
     }
   }
   // Sorting pairs (time, processors) merges ties deterministically whatever
   // order the ledger listed them in.
-  std::sort(ends.begin(), ends.end());
-  for (const auto& [time, processors] : ends) {
+  std::sort(ends_.begin(), ends_.end());
+  for (const auto& [time, processors] : ends_) {
     if (points_.back().first == time) {
       points_.back().second += processors;
     } else {
@@ -78,22 +77,23 @@ double AvailabilityProfile::earliest_fit(std::uint32_t size, double duration) co
   return std::numeric_limits<double>::infinity();
 }
 
+std::size_t AvailabilityProfile::split_at(double time) {
+  const auto it = std::lower_bound(
+      points_.begin(), points_.end(), time,
+      [](const std::pair<double, std::uint32_t>& point, double t) { return point.first < t; });
+  const auto index = static_cast<std::size_t>(it - points_.begin());
+  if (index == 0 || (it != points_.end() && it->first == time)) return index;
+  points_.insert(it, {time, std::prev(it)->second});
+  return index;
+}
+
 void AvailabilityProfile::reserve(double start, double duration, std::uint32_t size) {
   MCSIM_ASSERT(!points_.empty());
-  const double end = start + duration;
-  const auto insert_point = [this](double time) {
-    if (time <= points_.front().first) return;
-    auto it = points_.begin();
-    while (it != points_.end() && it->first < time) ++it;
-    if (it != points_.end() && it->first == time) return;
-    const std::uint32_t free_before = std::prev(it)->second;
-    points_.insert(it, {time, free_before});
-  };
-  insert_point(start);
-  insert_point(end);
-  for (auto& [time, free] : points_) {
-    if (time >= end) break;
-    if (time >= start) free = free >= size ? free - size : 0;
+  const std::size_t first = split_at(start);
+  const std::size_t last = split_at(start + duration);
+  for (std::size_t i = first; i < last; ++i) {
+    std::uint32_t& free = points_[i].second;
+    free = free >= size ? free - size : 0;
   }
 }
 

@@ -46,6 +46,8 @@ class ReservationTracker {
 
  private:
   std::vector<RunningJob> running_;
+  /// head_reservation's sort buffer, kept to reuse its capacity.
+  mutable std::vector<RunningJob> by_end_;
 };
 
 class AvailabilityProfile {
@@ -71,8 +73,14 @@ class AvailabilityProfile {
   }
 
  private:
+  /// Index of the breakpoint at `time`, inserted (carrying the free count
+  /// before it) if missing; 0 when `time` is at or before the first one.
+  std::size_t split_at(double time);
+
   /// Breakpoints sorted by time; free counts are constant between them.
   std::vector<std::pair<double, std::uint32_t>> points_;
+  /// reset's sort buffer, kept to reuse its capacity.
+  std::vector<std::pair<double, std::uint32_t>> ends_;
 };
 
 }  // namespace mcsim

@@ -2,10 +2,13 @@
 // archive-scale replay path (docs/WORKLOADS.md).
 //
 // SwfStreamReader parses one line per next() call, so a caller can walk a
-// multi-million-job Parallel Workloads Archive log at O(1) memory. It
-// carries all of read_swf's hardening (CRLF, blank lines, ';' comments
-// anywhere, truncated trailing fields read as -1, full-token number
-// parsing, `file:line:` diagnostics) and adds the archive header dialect:
+// multi-million-job Parallel Workloads Archive log at O(1) memory. It reads
+// the stream in blocks of kBlockBytes and splits lines in place; only a
+// line straddling two blocks is copied. Fields are parsed without
+// allocating, with exactly strtod's syntax and values. It carries all of
+// read_swf's hardening (CRLF, blank lines, ';' comments anywhere,
+// truncated trailing fields read as -1, full-token number parsing,
+// `file:line:` diagnostics) and adds the archive header dialect:
 //
 //   * `; Key: value` directive lines (MaxJobs, MaxRecords, MaxNodes,
 //     MaxProcs, MaxRuntime, MaxQueues, MaxPartitions, UnixStartTime) are
@@ -16,6 +19,9 @@
 //     came from is rejected with a `file:line:` error — the log is
 //     internally inconsistent and silently replaying it would misreport
 //     utilization.
+//   * Every field must be finite, and the fields cast to integers (job id,
+//     processors, status, user id) must fit their types after SWF's -1 =
+//     unknown handling; anything else is a `file:line:` error.
 //
 // read_swf (trace/swf.hpp) is a thin whole-file wrapper over this class.
 #pragma once
@@ -24,6 +30,7 @@
 #include <fstream>
 #include <istream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/record.hpp"
@@ -55,6 +62,10 @@ struct SwfHeaderInfo {
 
 class SwfStreamReader {
  public:
+  /// Size of one read from the stream. Capped so a reader adds a fixed,
+  /// small amount to peak memory however long the log is.
+  static constexpr std::size_t kBlockBytes = 64 * 1024;
+
   /// Parse from a caller-owned stream. `source` names the input in
   /// diagnostics (a path, or "<swf>" style placeholder).
   SwfStreamReader(std::istream& in, std::string source);
@@ -76,10 +87,22 @@ class SwfStreamReader {
   [[nodiscard]] const std::string& source() const { return source_; }
 
  private:
+  /// The next line without its '\n', pointing into block_ or line_; false
+  /// at end of input. Splits like std::getline: a final line without '\n'
+  /// is a line, an empty tail after the last '\n' is not.
+  bool next_line(std::string_view& line);
+  /// Read the next block; false once the stream is exhausted.
+  bool refill();
+  /// Parse one non-blank, non-comment line into `out`.
+  void parse_record(std::string_view line, TraceRecord& out);
+
   std::istream& in_;
   std::string source_;
   SwfHeaderInfo header_;
-  std::string line_;
+  std::vector<char> block_;
+  std::size_t block_pos_ = 0;
+  std::size_t block_end_ = 0;
+  std::string line_;  // a line straddling two blocks
   std::uint64_t line_no_ = 0;
   std::uint64_t records_read_ = 0;
 };

@@ -157,6 +157,90 @@ TEST(SwfStream, TruncatedRecordWithoutProcessorsErrorsWithLine) {
   }
 }
 
+// Values a record cannot hold: before these checks each was accepted, and
+// the casts to integer fields were undefined behaviour.
+void expect_rejected(const std::string& line, const std::string& message) {
+  std::istringstream in(record_line(1, 0.0, 60.0, 4) + line);
+  SwfStreamReader reader(in, "ub.swf");
+  TraceRecord rec;
+  ASSERT_TRUE(reader.next(rec));
+  try {
+    reader.next(rec);
+    FAIL() << "expected a parse error for: " << line;
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("ub.swf:2: " + message), std::string::npos) << what;
+  }
+}
+
+TEST(SwfStream, NanOrHugeProcessorCountErrors) {
+  expect_rejected("2 0 0 60 nan -1 -1 nan -1 -1 1 0\n",
+                  "field 5 is not a finite number: 'nan'");
+  expect_rejected("2 0 0 60 1e20 -1 -1 4 -1 -1 1 0\n",
+                  "field 5 (processors) is out of range: '1e20'");
+  // A missing allocation falls back to the requested count, checked alike.
+  expect_rejected("2 0 0 60 -1 -1 -1 4294967296 -1 -1 1 0\n",
+                  "field 8 (processors) is out of range: '4294967296'");
+}
+
+TEST(SwfStream, NegativeJobIdErrors) {
+  expect_rejected("-1 0 0 60 4 -1 -1 4 -1 -1 1 0\n",
+                  "field 1 (job id) is out of range: '-1'");
+}
+
+TEST(SwfStream, StatusBeyondIntErrors) {
+  expect_rejected("2 0 0 60 4 -1 -1 4 -1 -1 1e30 0\n",
+                  "field 11 (status) is out of range: '1e30'");
+}
+
+TEST(SwfStream, NonFiniteTimesError) {
+  expect_rejected("2 inf 0 60 4 -1 -1 4 -1 -1 1 0\n",
+                  "field 2 is not a finite number: 'inf'");
+  expect_rejected("2 0 0 nan 4 -1 -1 4 -1 -1 1 0\n",
+                  "field 4 is not a finite number: 'nan'");
+}
+
+TEST(SwfStream, UserIdBeyondUint32Errors) {
+  expect_rejected("2 0 0 60 4 -1 -1 4 -1 -1 1 5e9\n",
+                  "field 12 (user id) is out of range: '5e9'");
+}
+
+TEST(SwfStream, LargestRepresentableValuesAreAccepted) {
+  std::istringstream in("9007199254740993 0 0 60 4294967295 -1 -1 4 -1 -1 2147483647 "
+                        "4294967295.5\n");
+  SwfStreamReader reader(in, "<swf>");
+  TraceRecord rec;
+  ASSERT_TRUE(reader.next(rec));
+  EXPECT_EQ(rec.job_id, 9007199254740992u);  // strtod rounds to the nearest double
+  EXPECT_EQ(rec.processors, 4294967295u);
+  EXPECT_EQ(rec.user_id, 4294967295u);
+  EXPECT_FALSE(rec.killed_by_limit);
+}
+
+TEST(SwfStream, RecordsStraddlingBlocksParse) {
+  // A comment filling the first block up to mid-record, then a record line
+  // longer than a whole block (padded with blanks).
+  const std::string comment = ";" + std::string(SwfStreamReader::kBlockBytes - 20, 'c') + "\n";
+  const std::string wide = "3 10 0 30 8" + std::string(SwfStreamReader::kBlockBytes + 7, ' ') +
+                           "-1 -1 8 -1 -1 1 2\n";
+  std::istringstream in(comment + record_line(2, 5.0, 60.0, 4) + wide + "4 20 0 40 2");
+  SwfStreamReader reader(in, "<swf>");
+  TraceRecord rec;
+  ASSERT_TRUE(reader.next(rec));
+  EXPECT_EQ(rec.job_id, 2u);
+  EXPECT_EQ(rec.run_time, 60.0);
+  EXPECT_EQ(reader.line_number(), 2u);
+  ASSERT_TRUE(reader.next(rec));
+  EXPECT_EQ(rec.job_id, 3u);
+  EXPECT_EQ(rec.user_id, 2u);
+  ASSERT_TRUE(reader.next(rec));  // the last line has no '\n'
+  EXPECT_EQ(rec.job_id, 4u);
+  EXPECT_EQ(rec.processors, 2u);
+  EXPECT_EQ(reader.line_number(), 4u);
+  EXPECT_FALSE(reader.next(rec));
+  EXPECT_EQ(reader.header().comments.front().size(), SwfStreamReader::kBlockBytes - 20);
+}
+
 TEST(SwfStream, HeaderOnlyLogYieldsNoRecordsButAHeader) {
   std::istringstream in("; MaxProcs: 430\n; MaxJobs: 0\n");
   SwfStreamReader reader(in, "<swf>");
