@@ -1,16 +1,25 @@
 // Engine microbenchmarks (google-benchmark): the DES calendar, placement
 // rules (the WF/FF/BF ablation from DESIGN.md), distribution sampling, SWF
-// stream parsing, and end-to-end simulation throughput per policy.
+// stream parsing, the conservative-backfill pass, and end-to-end simulation
+// throughput per policy.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <queue>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/placement.hpp"
 #include "core/engine.hpp"
 #include "exp/scenario.hpp"
 #include "obs/ring_recorder.hpp"
 #include "obs/swf_builder.hpp"
+#include "policy/composed_scheduler.hpp"
+#include "policy/pipeline.hpp"
 #include "sim/calendar.hpp"
 #include "trace/swf_stream.hpp"
 #include "trace/synthetic_log.hpp"
@@ -223,6 +232,89 @@ void BM_SwfStreamParse(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(records));
 }
 BENCHMARK(BM_SwfStreamParse)->Unit(benchmark::kMillisecond)->MinTime(kMinTime);
+
+// The policy layer of a conservative-backfill run, without the engine: a
+// GS+conservative scheduler on 4 x 32 processors with its queue held at a
+// fixed depth. Each iteration completes the running job that ends first
+// (one pass) and refills the queue with seeded jobs (one pass per submit),
+// so the rate is in scheduling passes, each over the same kind of running
+// set and queue a backfill_deep run sees.
+class PassBenchContext final : public SchedulerContext {
+ public:
+  [[nodiscard]] const Multicluster& system() const override { return system_; }
+  [[nodiscard]] double now() const override { return clock_; }
+  void start_job(JobPtr job, Allocation allocation) override {
+    job->allocation = std::move(allocation);
+    job->start_time = clock_;
+    system_.allocate(job->allocation);
+    ending_.emplace(clock_ + job->spec.gross_service_time, job);
+  }
+
+  /// Complete the running job that ends first; returns its slot.
+  JobPtr depart() {
+    const auto [end, job] = ending_.top();
+    ending_.pop();
+    clock_ = end;
+    system_.release(job->allocation);
+    return job;
+  }
+
+ private:
+  using Ending = std::pair<double, JobPtr>;
+  Multicluster system_{4, 32};
+  double clock_ = 0.0;
+  std::priority_queue<Ending, std::vector<Ending>, std::greater<>> ending_;
+};
+
+void BM_ConservativeBackfillPass(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  PassBenchContext context;
+  ComposedScheduler scheduler(
+      context,
+      expand_policy(PolicyKind::kGS, PlacementRule::kWorstFit, BackfillMode::kConservative),
+      "GS+conservative-bf");
+  Rng rng(2003);
+  std::vector<std::unique_ptr<Job>> jobs;
+  std::vector<JobPtr> free_slots;
+  std::uint64_t next_id = 1;
+  const auto submit_one = [&]() {
+    JobSpec spec;
+    spec.id = next_id++;
+    spec.arrival_time = context.now();
+    const std::uint64_t parts = 1 + rng.uniform_int(4);
+    for (std::uint64_t i = 0; i < parts; ++i) {
+      spec.components.push_back(1 + static_cast<std::uint32_t>(rng.uniform_int(16)));
+    }
+    std::sort(spec.components.begin(), spec.components.end(), std::greater<>());
+    for (std::uint32_t c : spec.components) spec.total_size += c;
+    spec.wide_area = parts > 1;
+    spec.service_time = rng.exponential_mean(100.0);
+    spec.gross_service_time = spec.wide_area ? 1.25 * spec.service_time : spec.service_time;
+    if (free_slots.empty()) {
+      jobs.push_back(std::make_unique<Job>(std::move(spec)));
+      scheduler.submit(jobs.back().get());
+    } else {
+      JobPtr job = free_slots.back();
+      free_slots.pop_back();
+      job->reset(std::move(spec));
+      scheduler.submit(job);
+    }
+  };
+  while (scheduler.queued_jobs() < depth) submit_one();
+
+  std::uint64_t passes = 0;
+  for (auto _ : state) {
+    free_slots.push_back(context.depart());
+    scheduler.on_departure();
+    ++passes;
+    while (scheduler.queued_jobs() < depth) {
+      submit_one();
+      ++passes;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(passes));
+}
+BENCHMARK(BM_ConservativeBackfillPass)->Arg(8)->Arg(64)->Arg(512)->MinTime(kMinTime);
 
 // Placement-rule ablation at the system level: does WF vs FF/BF move the
 // response time? (DESIGN.md ablation; the paper fixes WF.)

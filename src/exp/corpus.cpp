@@ -192,14 +192,16 @@ std::string corpus_log_observation(const ScenarioSpec& base,
                                    const std::string& log_path,
                                    const CorpusOptions& options,
                                    CorpusLogVerdict* facts) {
-  const SwfScan scan = scan_swf_file(log_path);
+  const TraceResolver resolve_trace = scan_once_resolver(log_path);
+  const SwfScan scan = resolve_trace(log_path).scan;
   CorpusLogVerdict local;
   CorpusLogVerdict& out_facts = facts != nullptr ? *facts : local;
   const ScenarioSpec spec =
       corpus_log_spec(base, log_path, options, scan, out_facts);
   validate(spec);
 
-  MulticlusterSimulation simulation(to_simulation_config(spec));
+  MulticlusterSimulation simulation(
+      to_simulation_config(spec, spec.utilization, resolve_trace));
   const SimulationResult result = simulation.run();
 
   std::ostringstream text;

@@ -25,10 +25,12 @@ ReplicationResult run_replications(const PaperScenario& scenario,
 ReplicationResult run_replications(const exp::ScenarioSpec& spec) {
   MCSIM_REQUIRE(spec.replications > 0, "need at least one replication");
   exp::Runner runner(spec.parallelism);
+  const exp::TraceResolver resolve_trace = exp::scan_once_resolver(spec.trace_path);
   const auto runs = runner.map(spec.replications, [&](std::size_t r) {
     exp::ScenarioSpec replication = spec;
     replication.seed = spec.seed + static_cast<std::uint64_t>(r);
-    return run_simulation(exp::to_simulation_config(replication, spec.utilization));
+    return run_simulation(
+        exp::to_simulation_config(replication, spec.utilization, resolve_trace));
   });
 
   // Fold in replication order so the accumulated statistics (and their

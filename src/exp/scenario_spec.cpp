@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <mutex>
 #include <ostream>
 
 #include "exp/sweep.hpp"
@@ -301,6 +302,22 @@ ResolvedTrace resolve_trace_from_file(const std::string& path) {
     return std::make_unique<SwfFileStream>(path);
   };
   return resolved;
+}
+
+TraceResolver scan_once_resolver(const std::string& path) {
+  struct Once {
+    std::once_flag flag;
+    ResolvedTrace resolved;
+  };
+  auto once = std::make_shared<Once>();
+  return [once, path](const std::string& requested) {
+    MCSIM_REQUIRE(requested == path,
+                  "trace resolver for " + path + " asked for " + requested);
+    // A scan that throws leaves the flag unset, so every caller reports
+    // the same error as an uncached resolution would.
+    std::call_once(once->flag, [&] { once->resolved = resolve_trace_from_file(path); });
+    return once->resolved;
+  };
 }
 
 SimulationConfig to_simulation_config(const ScenarioSpec& spec, double utilization) {

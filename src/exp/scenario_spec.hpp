@@ -203,6 +203,12 @@ using TraceResolver = std::function<ResolvedTrace(const std::string& path)>;
 /// O(1)-memory validating scan, then a fresh SwfFileStream per engine.
 ResolvedTrace resolve_trace_from_file(const std::string& path);
 
+/// A resolver for callers that build many configs from one spec (sweep
+/// points, replications, a corpus log): it scans `path`, the only path it
+/// serves, once on first use, and hands that scan to every later call from
+/// any thread.
+TraceResolver scan_once_resolver(const std::string& path);
+
 /// THE construction path from a spec to an engine config — every layer
 /// (CLI, scenario files, manifests, PaperScenario helpers, examples)
 /// funnels through here, which is what makes their runs bit-identical.

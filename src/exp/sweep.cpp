@@ -65,8 +65,9 @@ SweepSeries run_sweep(const exp::ScenarioSpec& spec) {
   series.scenario = spec.paper_scenario();
   const std::string label = spec.label();
   const std::vector<double> grid = spec.sweep_grid();
+  const exp::TraceResolver resolve_trace = exp::scan_once_resolver(spec.trace_path);
   const auto run_point = [&](std::size_t i) {
-    return run_simulation(exp::to_simulation_config(spec, grid[i]));
+    return run_simulation(exp::to_simulation_config(spec, grid[i], resolve_trace));
   };
 
   if (spec.parallelism == 1) {

@@ -1,7 +1,7 @@
 #include "policy/composed_scheduler.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -10,11 +10,12 @@ namespace mcsim {
 
 namespace {
 /// Conservative backfilling reserves a profile slot for every queued job it
-/// scans; bounding the scan keeps one scheduling round O(depth^2) even when
-/// a run is driven into instability (queues of tens of thousands of jobs).
-/// Jobs beyond the window neither start nor hold reservations that round —
-/// deterministic, and irrelevant at the stable utilizations the scenarios
-/// run at.
+/// scans, and each reservation sweeps the profile's breakpoints once;
+/// bounding the scan keeps one scheduling round O(depth x breakpoints) even
+/// when a run is driven into instability (queues of tens of thousands of
+/// jobs). Jobs beyond the window neither start nor hold reservations that
+/// round — deterministic, and irrelevant at the stable utilizations the
+/// scenarios run at.
 constexpr std::size_t kConservativeScanDepth = 256;
 }  // namespace
 
@@ -197,33 +198,37 @@ void ComposedScheduler::backfill_conservative() {
   // earliest slot is now, so no start can delay any reservation made for a
   // job ahead of it — the no-starvation guarantee aggressive backfilling
   // gives up.
+  //
+  // The profile is scratch for this pass: only the starts outlive it. A
+  // job can start only if its size is free now, and the free count now
+  // only falls as jobs reserve, so once it is below the smallest size left
+  // in the scan window no later job can start and the pass stops.
+  const std::size_t depth = std::min(global_.size(), kConservativeScanDepth);
+  min_size_from_.resize(depth + 1);
+  min_size_from_[depth] = std::numeric_limits<std::uint32_t>::max();
+  for (std::size_t i = depth; i-- > 0;) {
+    min_size_from_[i] = std::min(min_size_from_[i + 1], global_.at(i)->spec.total_size);
+  }
   const double now = context_.now();
   profile_.reset(now, context_.system().total_idle(), running_.running());
   std::size_t index = 0;
-  std::size_t scanned = 0;
-  while (index < global_.size() && scanned < kConservativeScanDepth) {
-    ++scanned;
+  for (std::size_t scanned = 0; scanned < depth; ++scanned) {
+    if (profile_.free_now() < min_size_from_[scanned]) break;
     Job& job = *global_.at(index);
+    // Infinite when the job is wider than the machine ever gets — it is
+    // left to block FCFS-style.
     const double start =
-        profile_.earliest_fit(job.spec.total_size, job.spec.gross_service_time);
-    if (!std::isfinite(start)) {
-      // Wider than the machine ever gets — leave it to block FCFS-style.
-      ++index;
-      continue;
-    }
+        profile_.reserve_earliest(job.spec.total_size, job.spec.gross_service_time);
     if (start <= now) {
       auto allocation = place_for(job, -1);
       if (allocation) {
-        profile_.reserve(now, job.spec.gross_service_time, job.spec.total_size);
         start_at(index, std::move(*allocation));
         continue;  // the next job shifted into this slot
       }
       // The aggregate count fits but the per-cluster layout does not
-      // (fragmentation): hold the capacity anyway so later jobs cannot
-      // take it and push this one further back.
+      // (fragmentation): the reservation holds the capacity anyway so later
+      // jobs cannot take it and push this one further back.
     }
-    profile_.reserve(std::max(start, now), job.spec.gross_service_time,
-                     job.spec.total_size);
     ++index;
   }
 }

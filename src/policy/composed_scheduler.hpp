@@ -93,6 +93,9 @@ class ComposedScheduler final : public Scheduler {
   /// Backfilling state (kSingleGlobal with backfill only).
   ReservationTracker running_;
   AvailabilityProfile profile_;
+  /// backfill_conservative's suffix minima of total_size over its scan
+  /// window, kept to reuse its capacity.
+  std::vector<std::uint32_t> min_size_from_;
 };
 
 }  // namespace mcsim

@@ -57,44 +57,41 @@ void AvailabilityProfile::reset(double now, std::uint32_t idle,
   }
 }
 
-double AvailabilityProfile::earliest_fit(std::uint32_t size, double duration) const {
+double AvailabilityProfile::reserve_earliest(std::uint32_t size, double duration) {
   // Free counts only change at breakpoints, so the earliest feasible start
   // is at one. The profile ends at full capacity (every running job and
   // reservation expires), so any job that fits the machine finds a slot.
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    if (points_[i].second < size) continue;
-    const double end = points_[i].first + duration;
-    bool fits = true;
-    for (std::size_t j = i + 1; j < points_.size(); ++j) {
-      if (points_[j].first >= end) break;
-      if (points_[j].second < size) {
-        fits = false;
-        break;
-      }
+  //
+  // One forward sweep: a breakpoint with fewer than `size` free inside the
+  // candidate's window also lies inside the window of every breakpoint
+  // between the two (times increase, and so does time + duration), so the
+  // next candidate is the first breakpoint past it with enough free.
+  const std::size_t n = points_.size();
+  std::size_t first = 0;
+  while (first < n) {
+    if (points_[first].second < size) {
+      ++first;
+      continue;
     }
-    if (fits) return points_[i].first;
+    const double start = points_[first].first;
+    const double end = start + duration;
+    std::size_t last = first + 1;
+    while (last < n && points_[last].first < end && points_[last].second >= size) ++last;
+    if (last < n && points_[last].first < end) {
+      first = last + 1;  // points_[last] is too full and inside the window
+      continue;
+    }
+    // [first, last) is the window, and every breakpoint in it has at least
+    // `size` free. An empty window (zero duration) reserves nothing.
+    if (!(start < end)) return start;
+    if (last == n || points_[last].first != end) {
+      points_.insert(points_.begin() + static_cast<std::ptrdiff_t>(last),
+                     {end, points_[last - 1].second});
+    }
+    for (std::size_t i = first; i < last; ++i) points_[i].second -= size;
+    return start;
   }
   return std::numeric_limits<double>::infinity();
-}
-
-std::size_t AvailabilityProfile::split_at(double time) {
-  const auto it = std::lower_bound(
-      points_.begin(), points_.end(), time,
-      [](const std::pair<double, std::uint32_t>& point, double t) { return point.first < t; });
-  const auto index = static_cast<std::size_t>(it - points_.begin());
-  if (index == 0 || (it != points_.end() && it->first == time)) return index;
-  points_.insert(it, {time, std::prev(it)->second});
-  return index;
-}
-
-void AvailabilityProfile::reserve(double start, double duration, std::uint32_t size) {
-  MCSIM_ASSERT(!points_.empty());
-  const std::size_t first = split_at(start);
-  const std::size_t last = split_at(start + duration);
-  for (std::size_t i = first; i < last; ++i) {
-    std::uint32_t& free = points_[i].second;
-    free = free >= size ? free - size : 0;
-  }
 }
 
 }  // namespace mcsim

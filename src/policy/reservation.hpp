@@ -57,14 +57,15 @@ class AvailabilityProfile {
   void reset(double now, std::uint32_t idle,
              const std::vector<ReservationTracker::RunningJob>& running);
 
-  /// Earliest time t >= now with at least `size` processors free over the
-  /// whole window [t, t + duration). Infinity when `size` never fits (a job
-  /// wider than the machine).
-  [[nodiscard]] double earliest_fit(std::uint32_t size, double duration) const;
+  /// Processors free at `now`, the profile's first breakpoint. Reservations
+  /// only ever lower it.
+  [[nodiscard]] std::uint32_t free_now() const { return points_.front().second; }
 
-  /// Subtract `size` processors over [start, start + duration) — the
-  /// reservation held for one queued job.
-  void reserve(double start, double duration, std::uint32_t size);
+  /// Reserve `size` processors over [t, t + duration) at the earliest time
+  /// t >= now with at least `size` free over that whole window, and return
+  /// t. Infinity, with nothing reserved, when `size` never fits (a job wider
+  /// than the machine).
+  double reserve_earliest(std::uint32_t size, double duration);
 
   /// The profile's breakpoints (time, processors free from then on), for
   /// tests.
@@ -73,10 +74,6 @@ class AvailabilityProfile {
   }
 
  private:
-  /// Index of the breakpoint at `time`, inserted (carrying the free count
-  /// before it) if missing; 0 when `time` is at or before the first one.
-  std::size_t split_at(double time);
-
   /// Breakpoints sorted by time; free counts are constant between them.
   std::vector<std::pair<double, std::uint32_t>> points_;
   /// reset's sort buffer, kept to reuse its capacity.

@@ -28,7 +28,9 @@
 
 namespace mcsim {
 
-class [[nodiscard]] Process {
+// Not [[nodiscard]]: the handle is empty, so dropping it — as every caller
+// does — loses nothing.
+class Process {
  public:
   struct promise_type {
     Process get_return_object() { return Process{}; }

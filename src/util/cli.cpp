@@ -64,10 +64,8 @@ bool CliParser::parse(int argc, const char* const* argv) {
     MCSIM_USAGE_REQUIRE(it != options_.end(), "unknown option --" + name);
     if (it->second.is_flag) {
       MCSIM_USAGE_REQUIRE(!has_value, "flag --" + name + " takes no value");
-      values_[name] = "1";
-      continue;
-    }
-    if (!has_value) {
+      value.assign(1, '1');
+    } else if (!has_value) {
       MCSIM_USAGE_REQUIRE(i + 1 < argc, "option --" + name + " needs a value");
       value = argv[++i];
     }

@@ -41,6 +41,33 @@ class TempFile {
   std::string path_;
 };
 
+void write_log(const std::string& path, int records) {
+  std::ofstream out(path);
+  for (int i = 1; i <= records; ++i) {
+    out << i << " " << 10 * i << " 0 100 4 -1 -1 4 -1 -1 1 1 1 -1 1 -1 -1 -1\n";
+  }
+}
+
+TEST(ScanOnceResolver, ServesTheFirstScanToEveryLaterCall) {
+  TempFile log("mcsim_scenario_spec_test_scan_once.swf");
+  write_log(log.path(), 3);
+  const exp::TraceResolver resolve = exp::scan_once_resolver(log.path());
+  EXPECT_EQ(resolve(log.path()).scan.summary.total_records, 3u);
+  // A rewritten log is not re-scanned: sweep points and replications of
+  // one spec share one scan.
+  write_log(log.path(), 5);
+  EXPECT_EQ(resolve(log.path()).scan.summary.total_records, 3u);
+  EXPECT_EQ(exp::resolve_trace_from_file(log.path()).scan.summary.total_records, 5u);
+}
+
+TEST(ScanOnceResolver, FailedScansAreNotCached) {
+  TempFile log("mcsim_scenario_spec_test_scan_once_missing.swf");
+  const exp::TraceResolver resolve = exp::scan_once_resolver(log.path());
+  EXPECT_THROW(static_cast<void>(resolve(log.path())), std::exception);
+  write_log(log.path(), 2);
+  EXPECT_EQ(resolve(log.path()).scan.summary.total_records, 2u);
+}
+
 TEST(RunMode, NameParseRoundTrip) {
   for (const auto mode : {exp::RunMode::kPoint, exp::RunMode::kSweep,
                           exp::RunMode::kSaturation, exp::RunMode::kReplications}) {

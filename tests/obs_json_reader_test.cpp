@@ -97,12 +97,13 @@ TEST(JsonReader, RejectsDeepNesting) {
 
 TEST(JsonReader, KindMismatchesThrow) {
   const auto doc = parse_json(R"({"n": 1.5, "s": "x"})");
-  EXPECT_THROW(doc.at("n").as_string(), std::invalid_argument);
-  EXPECT_THROW(doc.at("s").as_double(), std::invalid_argument);
-  EXPECT_THROW(doc.at("n").as_uint(), std::invalid_argument);  // not integral
-  EXPECT_THROW(doc.at(0), std::invalid_argument);              // object, not array
-  EXPECT_THROW(parse_json("-3").as_uint(), std::invalid_argument);
-  EXPECT_THROW(doc.at("missing"), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(doc.at("n").as_string()), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(doc.at("s").as_double()), std::invalid_argument);
+  // 1.5 is not an integer.
+  EXPECT_THROW(static_cast<void>(doc.at("n").as_uint()), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(doc.at(0)), std::invalid_argument);  // object, not array
+  EXPECT_THROW(static_cast<void>(parse_json("-3").as_uint()), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(doc.at("missing")), std::invalid_argument);
 }
 
 TEST(JsonReader, StreamAndStringAgree) {

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 namespace mcsim {
 namespace {
@@ -55,14 +57,23 @@ TEST(ReservationTracker, ImpossibleHeadDegradesToInfinity) {
   EXPECT_EQ(spare, 0u);
 }
 
+/// Where a job of `size` x `duration` would be reserved, without booking it
+/// in `profile`.
+double earliest_fit(const AvailabilityProfile& profile, std::uint32_t size,
+                    double duration) {
+  AvailabilityProfile probe = profile;
+  return probe.reserve_earliest(size, duration);
+}
+
 TEST(AvailabilityProfile, ResetBuildsStepwiseFreeCounts) {
   AvailabilityProfile profile;
   profile.reset(/*now=*/0.0, /*idle=*/10,
                 {{20.0, 6}, {10.0, 4}});  // unsorted on purpose
   // 10 free at t=0, 14 from t=10, 20 from t=20.
-  EXPECT_DOUBLE_EQ(profile.earliest_fit(10, 5.0), 0.0);
-  EXPECT_DOUBLE_EQ(profile.earliest_fit(12, 5.0), 10.0);
-  EXPECT_DOUBLE_EQ(profile.earliest_fit(20, 5.0), 20.0);
+  EXPECT_EQ(profile.free_now(), 10u);
+  EXPECT_DOUBLE_EQ(earliest_fit(profile, 10, 5.0), 0.0);
+  EXPECT_DOUBLE_EQ(earliest_fit(profile, 12, 5.0), 10.0);
+  EXPECT_DOUBLE_EQ(earliest_fit(profile, 20, 5.0), 20.0);
 }
 
 TEST(AvailabilityProfile, EarliestFitHonoursTheWholeWindow) {
@@ -71,31 +82,56 @@ TEST(AvailabilityProfile, EarliestFitHonoursTheWholeWindow) {
   // 16 free now, 32 from t=10. A job of 16 fits immediately whatever its
   // duration; after reserving 16 over [0, 8) a second 16 must wait until
   // the window [t, t+duration) clears the reservation.
-  profile.reserve(0.0, 8.0, 16);
-  EXPECT_DOUBLE_EQ(profile.earliest_fit(16, 4.0), 8.0);
+  EXPECT_DOUBLE_EQ(profile.reserve_earliest(16, 8.0), 0.0);
+  EXPECT_EQ(profile.free_now(), 0u);
+  EXPECT_DOUBLE_EQ(earliest_fit(profile, 16, 4.0), 8.0);
   // A wider job must wait for the running job's completion at t=10.
-  EXPECT_DOUBLE_EQ(profile.earliest_fit(32, 4.0), 10.0);
+  EXPECT_DOUBLE_EQ(earliest_fit(profile, 32, 4.0), 10.0);
 }
 
 TEST(AvailabilityProfile, ReserveCarvesTheProfile) {
+  using Points = std::vector<std::pair<double, std::uint32_t>>;
   AvailabilityProfile profile;
   profile.reset(0.0, 8, {});
-  profile.reserve(0.0, 3.0, 4);  // 4 of 8 booked over [0, 3)
+  EXPECT_DOUBLE_EQ(profile.reserve_earliest(4, 3.0), 0.0);  // 4 of 8 over [0, 3)
+  EXPECT_EQ(profile.points(), (Points{{0.0, 4}, {3.0, 8}}));
   // A job within the remaining 4 starts immediately; anything wider waits
   // for the reservation to expire.
-  EXPECT_DOUBLE_EQ(profile.earliest_fit(4, 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(profile.earliest_fit(5, 1.0), 3.0);
-  EXPECT_DOUBLE_EQ(profile.earliest_fit(8, 2.0), 3.0);
-  // A second reservation in the gap [2, 5) carves across the breakpoint.
-  profile.reserve(2.0, 3.0, 4);
-  EXPECT_DOUBLE_EQ(profile.earliest_fit(4, 1.0), 0.0);   // [0, 2) still has 4
-  EXPECT_DOUBLE_EQ(profile.earliest_fit(8, 1.0), 5.0);
+  EXPECT_DOUBLE_EQ(earliest_fit(profile, 4, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(earliest_fit(profile, 5, 1.0), 3.0);
+  EXPECT_DOUBLE_EQ(earliest_fit(profile, 8, 2.0), 3.0);
+  // A second reservation of the whole machine waits for the first to
+  // expire and carves [3, 5), past the last breakpoint.
+  EXPECT_DOUBLE_EQ(profile.reserve_earliest(8, 2.0), 3.0);
+  EXPECT_EQ(profile.points(), (Points{{0.0, 4}, {3.0, 0}, {5.0, 8}}));
+  EXPECT_DOUBLE_EQ(earliest_fit(profile, 4, 1.0), 0.0);  // [0, 3) still has 4
+  EXPECT_DOUBLE_EQ(earliest_fit(profile, 8, 1.0), 5.0);
 }
 
 TEST(AvailabilityProfile, OversizeNeverFits) {
   AvailabilityProfile profile;
   profile.reset(0.0, 8, {{5.0, 8}});
-  EXPECT_TRUE(std::isinf(profile.earliest_fit(64, 1.0)));
+  const auto before = profile.points();
+  EXPECT_TRUE(std::isinf(profile.reserve_earliest(64, 1.0)));
+  EXPECT_EQ(profile.points(), before);  // nothing reserved
+}
+
+TEST(AvailabilityProfile, ReservationSpansSeveralBreakpoints) {
+  using Points = std::vector<std::pair<double, std::uint32_t>>;
+  AvailabilityProfile profile;
+  profile.reset(0.0, 2, {{1.0, 2}, {2.0, 2}, {4.0, 2}});
+  // 2, 4, 6, 8 free from t = 0, 1, 2, 4. A job of 3 for 2.5 cannot start
+  // at 0 (2 free) and starts at 1, its window [1, 3.5) crossing t=2.
+  EXPECT_DOUBLE_EQ(profile.reserve_earliest(3, 2.5), 1.0);
+  EXPECT_EQ(profile.points(),
+            (Points{{0.0, 2}, {1.0, 1}, {2.0, 3}, {3.5, 6}, {4.0, 8}}));
+  // A window ending exactly on a breakpoint inserts none.
+  EXPECT_DOUBLE_EQ(profile.reserve_earliest(3, 1.5), 2.0);
+  EXPECT_EQ(profile.points(),
+            (Points{{0.0, 2}, {1.0, 1}, {2.0, 0}, {3.5, 6}, {4.0, 8}}));
+  // A zero-length job reserves nothing.
+  EXPECT_DOUBLE_EQ(profile.reserve_earliest(2, 0.0), 0.0);
+  EXPECT_EQ(profile.free_now(), 2u);
 }
 
 }  // namespace

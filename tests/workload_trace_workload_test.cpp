@@ -82,8 +82,9 @@ TEST(TraceUtilization, ScaleIsInherentOverTarget) {
   // inherent 0.25 -> target 0.5 compresses submits by half.
   EXPECT_DOUBLE_EQ(trace_scale_for_utilization(records, 16, 0.5), 0.5);
   EXPECT_DOUBLE_EQ(trace_scale_for_utilization(records, 16, 0.125), 2.0);
-  EXPECT_THROW(trace_scale_for_utilization(std::vector<TraceRecord>{}, 16, 0.5),
-               std::invalid_argument);
+  EXPECT_THROW(
+      static_cast<void>(trace_scale_for_utilization(std::vector<TraceRecord>{}, 16, 0.5)),
+      std::invalid_argument);
 }
 
 TEST(TraceWorkload, ConvertsRecordsToJobSpecs) {
