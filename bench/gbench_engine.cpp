@@ -124,6 +124,26 @@ void BM_SampleDasT900(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleDasT900)->MinTime(kMinTime);
 
+// The workload-build ledger row: the synthetic generator filling one
+// recycled JobSpec in place, the way the engine draws every arrival (the
+// sweep_fig3 workload's Fig. 3 configuration at component limit 16).
+// Items are jobs.
+void BM_WorkloadDraw(benchmark::State& state) {
+  PaperScenario scenario;
+  scenario.policy = PolicyKind::kGS;
+  scenario.component_limit = 16;
+  const SimulationConfig config = make_paper_config(scenario, 0.5, 1, 1);
+  WorkloadGenerator generator(config.workload, 1);
+  JobSpec spec;
+  for (auto _ : state) {
+    generator.next(spec);
+    benchmark::DoNotOptimize(spec.components.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_WorkloadDraw)->MinTime(kMinTime);
+
 void BM_EndToEndSimulation(benchmark::State& state) {
   const auto policy = static_cast<PolicyKind>(state.range(0));
   std::uint64_t jobs = 0;
@@ -274,37 +294,31 @@ void BM_ConservativeBackfillPass(benchmark::State& state) {
       expand_policy(PolicyKind::kGS, PlacementRule::kWorstFit, BackfillMode::kConservative),
       "GS+conservative-bf");
   Rng rng(2003);
-  std::vector<std::unique_ptr<Job>> jobs;
-  std::vector<JobPtr> free_slots;
+  JobPool pool(context.system().num_clusters());
   std::uint64_t next_id = 1;
   const auto submit_one = [&]() {
-    JobSpec spec;
+    JobPtr job = pool.acquire();
+    JobSpec& spec = job->spec;
     spec.id = next_id++;
     spec.arrival_time = context.now();
     const std::uint64_t parts = 1 + rng.uniform_int(4);
+    spec.components.clear();
     for (std::uint64_t i = 0; i < parts; ++i) {
       spec.components.push_back(1 + static_cast<std::uint32_t>(rng.uniform_int(16)));
     }
     std::sort(spec.components.begin(), spec.components.end(), std::greater<>());
+    spec.total_size = 0;
     for (std::uint32_t c : spec.components) spec.total_size += c;
     spec.wide_area = parts > 1;
     spec.service_time = rng.exponential_mean(100.0);
     spec.gross_service_time = spec.wide_area ? 1.25 * spec.service_time : spec.service_time;
-    if (free_slots.empty()) {
-      jobs.push_back(std::make_unique<Job>(std::move(spec)));
-      scheduler.submit(jobs.back().get());
-    } else {
-      JobPtr job = free_slots.back();
-      free_slots.pop_back();
-      job->reset(std::move(spec));
-      scheduler.submit(job);
-    }
+    scheduler.submit(job);
   };
   while (scheduler.queued_jobs() < depth) submit_one();
 
   std::uint64_t passes = 0;
   for (auto _ : state) {
-    free_slots.push_back(context.depart());
+    pool.release(context.depart());
     scheduler.on_departure();
     ++passes;
     while (scheduler.queued_jobs() < depth) {

@@ -58,43 +58,40 @@ void clusters_by_idle_desc(const std::vector<std::uint32_t>& idle,
   }
 }
 
-std::optional<Allocation> place_worst_fit(const std::vector<std::uint32_t>& components,
-                                          const std::vector<std::uint32_t>& idle,
-                                          PlacementScratch& scratch) {
-  clusters_by_idle_desc(idle, scratch.order);
-  // WF pairing doubles as the complete fit test: decide before building the
-  // allocation, so a reject (the common case for a blocked head job) costs
-  // no allocation.
+/// Pair the i-th largest component with the i-th cluster of `order`. The
+/// pairing doubles as the fit test and is decided before `out` is touched,
+/// so a reject (the common case for a blocked head job) writes nothing.
+bool place_in_order(const std::vector<std::uint32_t>& components,
+                    const std::vector<std::uint32_t>& idle,
+                    const std::vector<ClusterId>& order, Allocation& out) {
   for (std::size_t i = 0; i < components.size(); ++i) {
-    if (components[i] > idle[scratch.order[i]]) return std::nullopt;
+    if (components[i] > idle[order[i]]) return false;
   }
-  Allocation allocation;
-  allocation.reserve(components.size());
+  out.clear();
   for (std::size_t i = 0; i < components.size(); ++i) {
-    allocation.push_back(ComponentPlacement{scratch.order[i], components[i]});
+    out.push_back(ComponentPlacement{order[i], components[i]});
   }
-  return allocation;
+  return true;
 }
 
-std::optional<Allocation> place_first_fit(const std::vector<std::uint32_t>& components,
-                                          const std::vector<std::uint32_t>& idle,
-                                          PlacementScratch& scratch) {
+bool place_first_fit(const std::vector<std::uint32_t>& components,
+                     const std::vector<std::uint32_t>& idle, PlacementScratch& scratch,
+                     Allocation& out) {
   scratch.used.assign(idle.size(), 0);
-  Allocation allocation;
-  allocation.reserve(components.size());
+  out.clear();
   for (std::uint32_t component : components) {
     bool placed = false;
     for (ClusterId c = 0; c < idle.size(); ++c) {
       if (scratch.used[c] == 0 && component <= idle[c]) {
         scratch.used[c] = 1;
-        allocation.push_back(ComponentPlacement{c, component});
+        out.push_back(ComponentPlacement{c, component});
         placed = true;
         break;
       }
     }
-    if (!placed) return std::nullopt;
+    if (!placed) return false;
   }
-  return allocation;
+  return true;
 }
 
 /// Fill `order` with cluster ids by (idle fraction desc, id asc). The
@@ -118,31 +115,11 @@ void clusters_by_idle_fraction_desc(const std::vector<std::uint32_t>& idle,
   }
 }
 
-std::optional<Allocation> place_load_aware(const std::vector<std::uint32_t>& components,
-                                           const std::vector<std::uint32_t>& idle,
-                                           const std::vector<std::uint32_t>& capacities,
-                                           PlacementScratch& scratch) {
-  clusters_by_idle_fraction_desc(idle, capacities, scratch.order);
-  // Like WF, decide before building the allocation. Unlike WF the
-  // fraction pairing is not a complete fit test on heterogeneous layouts —
-  // a reject here is the rule's decision, not a proof nothing fits.
-  for (std::size_t i = 0; i < components.size(); ++i) {
-    if (components[i] > idle[scratch.order[i]]) return std::nullopt;
-  }
-  Allocation allocation;
-  allocation.reserve(components.size());
-  for (std::size_t i = 0; i < components.size(); ++i) {
-    allocation.push_back(ComponentPlacement{scratch.order[i], components[i]});
-  }
-  return allocation;
-}
-
-std::optional<Allocation> place_best_fit(const std::vector<std::uint32_t>& components,
-                                         const std::vector<std::uint32_t>& idle,
-                                         PlacementScratch& scratch) {
+bool place_best_fit(const std::vector<std::uint32_t>& components,
+                    const std::vector<std::uint32_t>& idle, PlacementScratch& scratch,
+                    Allocation& out) {
   scratch.used.assign(idle.size(), 0);
-  Allocation allocation;
-  allocation.reserve(components.size());
+  out.clear();
   for (std::uint32_t component : components) {
     ClusterId best = static_cast<ClusterId>(idle.size());
     std::uint32_t best_idle = 0;
@@ -153,54 +130,60 @@ std::optional<Allocation> place_best_fit(const std::vector<std::uint32_t>& compo
         best_idle = idle[c];
       }
     }
-    if (best == idle.size()) return std::nullopt;
+    if (best == idle.size()) return false;
     scratch.used[best] = 1;
-    allocation.push_back(ComponentPlacement{best, component});
+    out.push_back(ComponentPlacement{best, component});
   }
-  return allocation;
+  return true;
 }
 
 }  // namespace
+
+bool place_components(const std::vector<std::uint32_t>& components,
+                      const std::vector<std::uint32_t>& idle_counts,
+                      const std::vector<std::uint32_t>& capacities, PlacementRule rule,
+                      PlacementScratch& scratch, Allocation& out) {
+  MCSIM_REQUIRE(!components.empty(), "request has no components");
+  MCSIM_REQUIRE(components.size() <= idle_counts.size(),
+                "more components than clusters");
+  MCSIM_REQUIRE(is_non_increasing(components), "components must be non-increasing");
+  bool fits = false;
+  switch (rule) {
+    case PlacementRule::kWorstFit:
+      clusters_by_idle_desc(idle_counts, scratch.order);
+      fits = place_in_order(components, idle_counts, scratch.order, out);
+      break;
+    case PlacementRule::kFirstFit:
+      fits = place_first_fit(components, idle_counts, scratch, out);
+      break;
+    case PlacementRule::kBestFit:
+      fits = place_best_fit(components, idle_counts, scratch, out);
+      break;
+    case PlacementRule::kLoadAware:
+      MCSIM_REQUIRE(capacities.size() == idle_counts.size(),
+                    "load-aware placement needs one capacity per cluster "
+                    "(use the capacity-aware overload)");
+      // Like WF, but the fraction pairing is not a complete fit test on
+      // heterogeneous layouts — a reject here is the rule's decision, not a
+      // proof nothing fits.
+      clusters_by_idle_fraction_desc(idle_counts, capacities, scratch.order);
+      fits = place_in_order(components, idle_counts, scratch.order, out);
+      break;
+  }
+  if (!fits) out.clear();
+  return fits;
+}
 
 std::optional<Allocation> place_components(const std::vector<std::uint32_t>& components,
                                            const std::vector<std::uint32_t>& idle_counts,
                                            PlacementRule rule) {
   PlacementScratch scratch;
-  return place_components(components, idle_counts, rule, scratch);
-}
-
-std::optional<Allocation> place_components(const std::vector<std::uint32_t>& components,
-                                           const std::vector<std::uint32_t>& idle_counts,
-                                           PlacementRule rule, PlacementScratch& scratch) {
-  MCSIM_REQUIRE(!components.empty(), "request has no components");
-  MCSIM_REQUIRE(components.size() <= idle_counts.size(),
-                "more components than clusters");
-  MCSIM_REQUIRE(is_non_increasing(components), "components must be non-increasing");
-  switch (rule) {
-    case PlacementRule::kWorstFit: return place_worst_fit(components, idle_counts, scratch);
-    case PlacementRule::kFirstFit: return place_first_fit(components, idle_counts, scratch);
-    case PlacementRule::kBestFit: return place_best_fit(components, idle_counts, scratch);
-    case PlacementRule::kLoadAware:
-      MCSIM_REQUIRE(false, "load-aware placement needs cluster capacities "
-                           "(use the capacity-aware overload)");
+  Allocation allocation;
+  allocation.reserve(components.size());
+  if (!place_components(components, idle_counts, {}, rule, scratch, allocation)) {
+    return std::nullopt;
   }
-  return std::nullopt;
-}
-
-std::optional<Allocation> place_components(const std::vector<std::uint32_t>& components,
-                                           const std::vector<std::uint32_t>& idle_counts,
-                                           const std::vector<std::uint32_t>& capacities,
-                                           PlacementRule rule, PlacementScratch& scratch) {
-  if (rule != PlacementRule::kLoadAware) {
-    return place_components(components, idle_counts, rule, scratch);
-  }
-  MCSIM_REQUIRE(!components.empty(), "request has no components");
-  MCSIM_REQUIRE(components.size() <= idle_counts.size(),
-                "more components than clusters");
-  MCSIM_REQUIRE(is_non_increasing(components), "components must be non-increasing");
-  MCSIM_REQUIRE(capacities.size() == idle_counts.size(),
-                "capacities must match the cluster count");
-  return place_load_aware(components, idle_counts, capacities, scratch);
+  return allocation;
 }
 
 std::optional<Allocation> place_on_cluster(std::uint32_t processors, ClusterId cluster,
@@ -210,51 +193,52 @@ std::optional<Allocation> place_on_cluster(std::uint32_t processors, ClusterId c
   return Allocation{ComponentPlacement{cluster, processors}};
 }
 
-std::optional<Allocation> place_ordered(const std::vector<std::uint32_t>& components,
-                                        const std::vector<ClusterId>& clusters,
-                                        const std::vector<std::uint32_t>& idle_counts) {
+bool place_ordered(const std::vector<std::uint32_t>& components,
+                   const std::vector<ClusterId>& clusters,
+                   const std::vector<std::uint32_t>& idle_counts, Allocation& out) {
   MCSIM_REQUIRE(!components.empty(), "request has no components");
   MCSIM_REQUIRE(components.size() == clusters.size(),
                 "ordered request needs one cluster per component");
-  Allocation allocation;
-  allocation.reserve(components.size());
-  std::vector<std::uint32_t> remaining = idle_counts;
+  out.clear();
   for (std::size_t i = 0; i < components.size(); ++i) {
     MCSIM_REQUIRE(clusters[i] < idle_counts.size(), "ordered request names unknown cluster");
-    if (components[i] > remaining[clusters[i]]) return std::nullopt;
-    remaining[clusters[i]] -= components[i];
-    allocation.push_back(ComponentPlacement{clusters[i], components[i]});
+    // Components already placed on the same cluster (an ordered request may
+    // name one twice) use up its idle processors first.
+    std::uint32_t taken = 0;
+    for (const ComponentPlacement& placed : out) {
+      if (placed.cluster == clusters[i]) taken += placed.processors;
+    }
+    if (components[i] > idle_counts[clusters[i]] - taken) {
+      out.clear();
+      return false;
+    }
+    out.push_back(ComponentPlacement{clusters[i], components[i]});
   }
-  return allocation;
+  return true;
 }
 
-std::optional<Allocation> place_flexible(std::uint32_t total,
-                                         const std::vector<std::uint32_t>& idle_counts) {
-  PlacementScratch scratch;
-  return place_flexible(total, idle_counts, scratch);
-}
-
-std::optional<Allocation> place_flexible(std::uint32_t total,
-                                         const std::vector<std::uint32_t>& idle_counts,
-                                         PlacementScratch& scratch) {
+bool place_flexible(std::uint32_t total, const std::vector<std::uint32_t>& idle_counts,
+                    PlacementScratch& scratch, Allocation& out) {
   MCSIM_REQUIRE(total > 0, "request must ask for processors");
+  out.clear();
   // Whole-job fit on one cluster first (Worst Fit keeps big holes open).
   clusters_by_idle_desc(idle_counts, scratch.order);
   const std::vector<ClusterId>& order = scratch.order;
   if (idle_counts[order.front()] >= total) {
-    return Allocation{ComponentPlacement{order.front(), total}};
+    out.push_back(ComponentPlacement{order.front(), total});
+    return true;
   }
   // Otherwise spread greedily over clusters by decreasing idle count.
   std::uint32_t left = total;
-  Allocation allocation;
   for (ClusterId cluster : order) {
     const std::uint32_t take = std::min(left, idle_counts[cluster]);
     if (take == 0) break;
-    allocation.push_back(ComponentPlacement{cluster, take});
+    out.push_back(ComponentPlacement{cluster, take});
     left -= take;
-    if (left == 0) return allocation;
+    if (left == 0) return true;
   }
-  return std::nullopt;
+  out.clear();
+  return false;
 }
 
 bool components_fit(const std::vector<std::uint32_t>& components,

@@ -41,50 +41,43 @@ struct PlacementScratch {
 };
 
 /// Try to place `components` (must be non-increasing) on distinct clusters
-/// given per-cluster idle counts. Returns std::nullopt if the request does
-/// not fit. Ties on idle counts break toward the lower cluster id, keeping
-/// runs deterministic. kLoadAware needs capacities — use the overload below.
+/// given per-cluster idle counts, writing the allocation into `out` (its
+/// capacity reused: the scheduler passes the job's own buffer, so a start
+/// touches no allocator either). Returns whether the request fits; on a
+/// reject `out` is left empty. Ties on idle counts break toward the lower
+/// cluster id, keeping runs deterministic. kLoadAware orders clusters by
+/// idle/capacity (exact integer cross-multiplication, ties toward the lower
+/// id) and needs one capacity per cluster; the other rules ignore
+/// `capacities`.
+bool place_components(const std::vector<std::uint32_t>& components,
+                      const std::vector<std::uint32_t>& idle_counts,
+                      const std::vector<std::uint32_t>& capacities, PlacementRule rule,
+                      PlacementScratch& scratch, Allocation& out);
+
+/// Value-returning form of the above without capacities or scratch
+/// (std::nullopt if the request does not fit); kLoadAware throws.
 std::optional<Allocation> place_components(const std::vector<std::uint32_t>& components,
                                            const std::vector<std::uint32_t>& idle_counts,
                                            PlacementRule rule = PlacementRule::kWorstFit);
-
-/// Hot-path variant: identical decisions, but sorts and marks inside
-/// `scratch` instead of fresh vectors, and builds the Allocation only once
-/// the request is known to fit.
-std::optional<Allocation> place_components(const std::vector<std::uint32_t>& components,
-                                           const std::vector<std::uint32_t>& idle_counts,
-                                           PlacementRule rule, PlacementScratch& scratch);
-
-/// Capacity-aware variant: required for kLoadAware (which orders clusters
-/// by idle/capacity, exact integer cross-multiplication, ties toward the
-/// lower id); the other rules ignore `capacities` and decide identically
-/// to the overloads above.
-std::optional<Allocation> place_components(const std::vector<std::uint32_t>& components,
-                                           const std::vector<std::uint32_t>& idle_counts,
-                                           const std::vector<std::uint32_t>& capacities,
-                                           PlacementRule rule, PlacementScratch& scratch);
 
 /// Place a single-component job on one specific cluster (LS local jobs).
 std::optional<Allocation> place_on_cluster(std::uint32_t processors, ClusterId cluster,
                                            const std::vector<std::uint32_t>& idle_counts);
 
 /// Place an ORDERED request (the authors' model, refs [6,7]): component i
-/// must go to cluster `clusters[i]` exactly; all-or-nothing.
-std::optional<Allocation> place_ordered(const std::vector<std::uint32_t>& components,
-                                        const std::vector<ClusterId>& clusters,
-                                        const std::vector<std::uint32_t>& idle_counts);
+/// must go to cluster `clusters[i]` exactly; all-or-nothing. Writes into
+/// `out` like place_components; on a reject `out` is left empty.
+bool place_ordered(const std::vector<std::uint32_t>& components,
+                   const std::vector<ClusterId>& clusters,
+                   const std::vector<std::uint32_t>& idle_counts, Allocation& out);
 
 /// Place a FLEXIBLE request (refs [6,7]): only the total matters; the
 /// scheduler splits it over clusters as it likes. Tries one cluster first
 /// (WF), then spreads greedily over clusters by decreasing idle count.
-/// Fits iff total_idle >= total.
-std::optional<Allocation> place_flexible(std::uint32_t total,
-                                         const std::vector<std::uint32_t>& idle_counts);
-
-/// Hot-path variant of place_flexible (see PlacementScratch).
-std::optional<Allocation> place_flexible(std::uint32_t total,
-                                         const std::vector<std::uint32_t>& idle_counts,
-                                         PlacementScratch& scratch);
+/// Fits iff total_idle >= total. Writes into `out` like place_components;
+/// on a reject `out` is left empty.
+bool place_flexible(std::uint32_t total, const std::vector<std::uint32_t>& idle_counts,
+                    PlacementScratch& scratch, Allocation& out);
 
 /// Fit test only (no allocation construction) — cheaper on the hot path.
 bool components_fit(const std::vector<std::uint32_t>& components,

@@ -95,7 +95,7 @@ class SyntheticSource final : public JobSource {
       : generator_(std::move(config), seed) {}
 
   bool next(JobSpec& out) override {
-    out = generator_.next();
+    generator_.next(out);
     return true;
   }
 
@@ -114,6 +114,7 @@ std::unique_ptr<JobSource> make_source(const SimulationConfig& config) {
 MulticlusterSimulation::MulticlusterSimulation(SimulationConfig config)
     : config_(std::move(config)),
       system_(make_system(config_)),
+      pool_(system_.num_clusters()),
       source_(make_source(config_)),
       utilization_(system_.total_processors(), 0.0) {
   if (config_.scheduler_factory) {
@@ -179,10 +180,6 @@ void MulticlusterSimulation::finish_metrics() {
           ? static_cast<double>(result_.events_executed) / result_.wall_seconds
           : 0.0;
   metrics_->gauge("run.event_loop_seconds") = event_loop_seconds_;
-  metrics_->gauge("run.events_executed_per_sec") =
-      event_loop_seconds_ > 0.0
-          ? static_cast<double>(result_.events_executed) / event_loop_seconds_
-          : 0.0;
   metrics_->gauge("run.peak_rss_bytes") = static_cast<double>(peak_rss_bytes());
   metrics_->gauge("run.sim_end_time") = sim_.now();
   metrics_->gauge("run.unstable") = result_.unstable ? 1.0 : 0.0;
@@ -247,15 +244,17 @@ SimulationResult MulticlusterSimulation::run() {
 
 void MulticlusterSimulation::schedule_next_arrival() {
   if (arrivals_generated_ >= config_.total_jobs) return;
-  JobSpec spec;
-  if (!source_->next(spec)) return;  // finite source (trace) ran dry
+  // The source fills the pooled job's spec in place: a recycled job's
+  // component vector is rewritten, never reallocated, and the arrival
+  // event captures one plain pointer (the handler stays inside EventFn's
+  // inline buffer).
+  JobPtr job = pool_.acquire();
+  if (!source_->next(job->spec)) {  // finite source (trace) ran dry
+    pool_.release(job);
+    return;
+  }
   ++arrivals_generated_;
-  // Move the spec into a pooled Job now so the arrival event captures one
-  // plain pointer: the handler stays inside EventFn's inline buffer and the
-  // spec's vectors are never copied again.
-  const double when = spec.arrival_time;
-  JobPtr job = pool_.acquire(std::move(spec));
-  sim_.schedule_at(when, [this, job]() { on_arrival(job); });
+  sim_.schedule_at(job->spec.arrival_time, [this, job]() { on_arrival(job); });
 }
 
 void MulticlusterSimulation::on_arrival(JobPtr job) {

@@ -35,11 +35,11 @@ struct Job {
 
   [[nodiscard]] bool started() const { return start_time >= 0.0; }
 
-  /// Re-initialise a recycled pool slot for a new arrival. Keeps the
-  /// allocation vector's capacity, so a recycled job places without
-  /// touching the allocator.
-  void reset(JobSpec s) {
-    spec = std::move(s);
+  /// Re-initialise a recycled pool slot for a new arrival. The spec is
+  /// left for the job source to overwrite in place (JobSource::next writes
+  /// every field), and every vector keeps its capacity, so a recycled job
+  /// is refilled and placed without touching the allocator.
+  void reset() {
     allocation.clear();
     start_time = -1.0;
     queue_class = QueueClass::kGlobal;

@@ -4,7 +4,7 @@
 
 namespace mcsim {
 
-Job* JobPool::acquire(JobSpec spec) {
+Job* JobPool::acquire() {
   Job* job = nullptr;
   if (!free_.empty()) {
     job = free_.back();
@@ -15,8 +15,10 @@ Job* JobPool::acquire(JobSpec spec) {
       next_in_slab_ = 0;
     }
     job = &slabs_.back()[next_in_slab_++];
+    job->spec.components.reserve(max_components_);
+    job->allocation.reserve(max_components_);
   }
-  job->reset(std::move(spec));
+  job->reset();
   ++acquired_;
   return job;
 }

@@ -7,8 +7,9 @@
 // objects whose lifetime is in fact strictly engine-scoped. The pool hands
 // out stable Job* handles instead: acquire() is a free-list pop (or a bump
 // within the current slab), release() a free-list push, and a recycled job
-// keeps its allocation vector's capacity, so steady-state replay runs the
-// whole job lifecycle without touching the global allocator.
+// keeps its spec's and allocation's vector capacity, so a steady-state run
+// takes each job through its whole lifecycle without touching the global
+// allocator (tests/core_allocation_free_test.cpp pins that).
 //
 // Determinism: recycling makes job *addresses* depend on completion order,
 // so nothing in the engine may order by pointer value (JobOrder compares
@@ -39,14 +40,21 @@ class JobPool {
   /// below the total arrival count thanks to recycling).
   static constexpr std::size_t kSlabCapacity = 256;
 
-  JobPool() = default;
+  /// `max_components` bounds every job's component count (the number of
+  /// clusters): each new slot reserves that much room in its spec's
+  /// component vector and its allocation, so no recycled job ever regrows
+  /// them.
+  explicit JobPool(std::size_t max_components) : max_components_(max_components) {}
   JobPool(const JobPool&) = delete;
   JobPool& operator=(const JobPool&) = delete;
 
-  /// Hand out a job initialised from `spec` — recycled from the free list
-  /// when possible, otherwise bump-allocated from the current slab. The
-  /// returned pointer is stable until the pool is destroyed.
-  Job* acquire(JobSpec spec);
+  /// Hand out a job with its scheduling state reset (Job::reset) —
+  /// recycled from the free list when possible, otherwise bump-allocated
+  /// from the current slab. Its spec still holds the previous occupant's
+  /// fields: the caller fills it in place (JobSource::next), which reuses
+  /// the spec's vector capacity. The returned pointer is stable until the
+  /// pool is destroyed.
+  Job* acquire();
 
   /// Return a job to the free list. The caller must drop every handle: the
   /// next acquire() may recycle the object for an unrelated arrival.
@@ -67,6 +75,7 @@ class JobPool {
   }
 
  private:
+  std::size_t max_components_;
   std::vector<std::unique_ptr<Job[]>> slabs_;
   std::vector<Job*> free_;
   /// Next unused index in slabs_.back(); kSlabCapacity when a new slab is

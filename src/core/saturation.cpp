@@ -7,6 +7,7 @@ namespace mcsim {
 SaturationSimulation::SaturationSimulation(SaturationConfig config)
     : config_(std::move(config)),
       system_(config_.cluster_sizes),
+      pool_(system_.num_clusters()),
       generator_(config_.workload, config_.seed),
       utilization_(system_.total_processors(), 0.0) {
   MCSIM_REQUIRE(config_.backlog > 0, "backlog must be positive");
@@ -41,9 +42,10 @@ SaturationResult SaturationSimulation::run() {
 }
 
 void SaturationSimulation::refill() {
-  JobSpec spec = generator_.next_body();
-  spec.arrival_time = sim_.now();
-  scheduler_->submit(pool_.acquire(std::move(spec)));
+  JobPtr job = pool_.acquire();
+  generator_.next_body(job->spec);
+  job->spec.arrival_time = sim_.now();
+  scheduler_->submit(job);
 }
 
 void SaturationSimulation::start_job(JobPtr job, Allocation allocation) {

@@ -113,8 +113,7 @@ std::int64_t ulp_distance(double a, double b) {
 // everything else the engine collects is a pure function of the scenario.
 bool deterministic_metric(const std::string& name) {
   return name != "run.wall_seconds" && name != "run.events_per_sec" &&
-         name != "run.event_loop_seconds" && name != "run.events_executed_per_sec" &&
-         name != "run.peak_rss_bytes";
+         name != "run.event_loop_seconds" && name != "run.peak_rss_bytes";
 }
 
 void write_metrics_observation(obs::JsonWriter& json,

@@ -33,6 +33,7 @@ ComposedScheduler::ComposedScheduler(SchedulerContext& context, PipelineSpec pip
     for (JobQueue& queue : locals_) queue.set_order(order);
     if (pipeline_.structure == QueueStructure::kPerCluster) {
       visit_order_.reserve(n);
+      round_.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) visit_order_.push_back(i);
     }
   }
@@ -241,8 +242,8 @@ void ComposedScheduler::try_schedule_rotation() {
     any_started = false;
     // Snapshot: queues disabled during this round drop out of the rotation
     // for subsequent rounds but finish being skipped in this one.
-    const std::vector<std::uint32_t> round = visit_order_;
-    for (std::uint32_t qid : round) {
+    round_.assign(visit_order_.begin(), visit_order_.end());
+    for (std::uint32_t qid : round_) {
       JobQueue& queue = locals_[qid];
       if (!queue.enabled() || queue.empty()) continue;
       Job& head = *queue.front();

@@ -89,6 +89,9 @@ class ComposedScheduler final : public Scheduler {
   /// specifies) and the queues disabled since the last departure.
   std::vector<std::uint32_t> visit_order_;
   std::vector<std::uint32_t> disabled_order_;
+  /// try_schedule_rotation's per-round snapshot of visit_order_, kept to
+  /// reuse its capacity.
+  std::vector<std::uint32_t> round_;
 
   /// Backfilling state (kSingleGlobal with backfill only).
   ReservationTracker running_;

@@ -81,40 +81,48 @@ JobOrder make_job_order(QueueDiscipline discipline) {
   return nullptr;
 }
 
+namespace {
+/// Every attempt builds its allocation in the job's own buffer. On a fit
+/// that buffer is moved out to the caller, which hands it to start_job,
+/// where it is moved straight back into the job: a recycled job starts
+/// without touching the allocator. On a reject it stays with the job.
+std::optional<Allocation> take_allocation(Job& job, bool fits) {
+  if (!fits) return std::nullopt;
+  return std::optional<Allocation>(std::move(job.allocation));
+}
+}  // namespace
+
 std::optional<Allocation> Scheduler::try_place(Job& job) const {
   context_.system().idle_counts_into(idle_scratch_);
-  std::optional<Allocation> allocation;
+  bool fits = false;
   switch (job.spec.request_type) {
     case RequestType::kOrdered:
-      allocation =
-          place_ordered(job.spec.components, job.spec.ordered_clusters, idle_scratch_);
+      fits = place_ordered(job.spec.components, job.spec.ordered_clusters, idle_scratch_,
+                           job.allocation);
       break;
     case RequestType::kFlexible:
-      allocation = place_flexible(job.spec.total_size, idle_scratch_, place_scratch_);
+      fits = place_flexible(job.spec.total_size, idle_scratch_, place_scratch_,
+                            job.allocation);
       break;
     case RequestType::kUnordered:
     case RequestType::kTotal:
-      allocation = place_components(job.spec.components, idle_scratch_, capacities(),
-                                    placement_, place_scratch_);
+      fits = place_components(job.spec.components, idle_scratch_, capacities(), placement_,
+                              place_scratch_, job.allocation);
       break;
   }
-  context_.record_placement(job, allocation.has_value(), /*cluster=*/-1);
-  return allocation;
+  context_.record_placement(job, fits, /*cluster=*/-1);
+  return take_allocation(job, fits);
 }
 
 std::optional<Allocation> Scheduler::try_place_local(Job& job,
                                                      ClusterId cluster) const {
   MCSIM_ASSERT(job.spec.components.size() == 1);
-  // One cluster's idle count decides; no snapshot of the whole system and
-  // no allocation unless the job actually fits.
+  // One cluster's idle count decides; no snapshot of the whole system.
   const std::uint32_t processors = job.spec.components.front();
-  std::optional<Allocation> allocation;
-  if (processors <= context_.system().cluster(cluster).idle()) {
-    allocation = Allocation{ComponentPlacement{cluster, processors}};
-  }
-  context_.record_placement(job, allocation.has_value(),
-                            static_cast<std::int16_t>(cluster));
-  return allocation;
+  const bool fits = processors <= context_.system().cluster(cluster).idle();
+  if (fits) job.allocation.assign(1, ComponentPlacement{cluster, processors});
+  context_.record_placement(job, fits, static_cast<std::int16_t>(cluster));
+  return take_allocation(job, fits);
 }
 
 std::optional<Allocation> Scheduler::try_place_whole(Job& job) const {
@@ -132,12 +140,10 @@ std::optional<Allocation> Scheduler::try_place_whole(Job& job) const {
       best_idle = idle;
     }
   }
-  std::optional<Allocation> allocation;
-  if (best != system.num_clusters()) {
-    allocation = Allocation{ComponentPlacement{best, total}};
-  }
-  context_.record_placement(job, allocation.has_value(), /*cluster=*/-1);
-  return allocation;
+  const bool fits = best != system.num_clusters();
+  if (fits) job.allocation.assign(1, ComponentPlacement{best, total});
+  context_.record_placement(job, fits, /*cluster=*/-1);
+  return take_allocation(job, fits);
 }
 
 const std::vector<std::uint32_t>& Scheduler::capacities() const {

@@ -68,7 +68,9 @@ class SchedulerContext {
   /// completion times).
   [[nodiscard]] virtual double now() const = 0;
   /// Start `job` on `allocation` now; the engine allocates the processors
-  /// and schedules the departure.
+  /// and schedules the departure. The Scheduler's placement attempts hand
+  /// out the job's own allocation buffer, so implementations should move
+  /// `allocation` back into `job->allocation` (no allocator call).
   virtual void start_job(JobPtr job, Allocation allocation) = 0;
   /// Observability: every placement attempt reports its outcome here
   /// (called by Scheduler::try_place / try_place_local). `cluster` is the
@@ -107,7 +109,9 @@ class Scheduler {
 
  protected:
   /// WF (or the configured rule) placement of an unordered request over the
-  /// whole system; single-component jobs are a 1-tuple.
+  /// whole system; single-component jobs are a 1-tuple. Like the two
+  /// variants below, a fit returns the job's own allocation buffer, filled
+  /// (pass it on to start_job), and a reject leaves the buffer with the job.
   [[nodiscard]] std::optional<Allocation> try_place(Job& job) const;
 
   /// Placement of a single-component job restricted to its local cluster.

@@ -15,7 +15,9 @@ class JobSource {
   virtual ~JobSource() = default;
 
   /// Fill `out` with the next arrival (arrival times non-decreasing).
-  /// Returns false when no jobs remain; `out` is untouched in that case.
+  /// `out` is a recycled spec: write every field, and reuse its vectors'
+  /// capacity rather than assigning fresh ones. Returns false when no jobs
+  /// remain; `out` is untouched in that case.
   virtual bool next(JobSpec& out) = 0;
 };
 

@@ -13,18 +13,24 @@ std::uint32_t component_count(std::uint32_t total_size, std::uint32_t component_
   return wanted < num_clusters ? wanted : num_clusters;
 }
 
-std::vector<std::uint32_t> split_job(std::uint32_t total_size, std::uint32_t component_limit,
-                                     std::uint32_t num_clusters) {
+void split_job(std::uint32_t total_size, std::uint32_t component_limit,
+               std::uint32_t num_clusters, std::vector<std::uint32_t>& out) {
   const std::uint32_t n = component_count(total_size, component_limit, num_clusters);
   const std::uint32_t base = total_size / n;
   const std::uint32_t remainder = total_size % n;
-  std::vector<std::uint32_t> components;
-  components.reserve(n);
+  out.clear();
+  out.reserve(n);
   // `remainder` components get one extra task; emit them first so the list
   // is non-increasing.
   for (std::uint32_t i = 0; i < n; ++i) {
-    components.push_back(base + (i < remainder ? 1u : 0u));
+    out.push_back(base + (i < remainder ? 1u : 0u));
   }
+}
+
+std::vector<std::uint32_t> split_job(std::uint32_t total_size, std::uint32_t component_limit,
+                                     std::uint32_t num_clusters) {
+  std::vector<std::uint32_t> components;
+  split_job(total_size, component_limit, num_clusters, components);
   return components;
 }
 

@@ -22,7 +22,13 @@ namespace mcsim {
 std::uint32_t component_count(std::uint32_t total_size, std::uint32_t component_limit,
                               std::uint32_t num_clusters);
 
-/// Component sizes, non-increasing, summing to `total_size`.
+/// Component sizes, non-increasing, summing to `total_size`, written into
+/// `out` (replacing its contents; its capacity is reused, so a recycled
+/// job spec splits without touching the allocator).
+void split_job(std::uint32_t total_size, std::uint32_t component_limit,
+               std::uint32_t num_clusters, std::vector<std::uint32_t>& out);
+
+/// Value-returning form of the above.
 std::vector<std::uint32_t> split_job(std::uint32_t total_size, std::uint32_t component_limit,
                                      std::uint32_t num_clusters);
 

@@ -102,31 +102,33 @@ void TraceWorkload::refill_lookahead() {
 }
 
 void TraceWorkload::emit(const TraceRecord& rec, JobSpec& out) {
-  JobSpec job;
+  // Written field by field into `out`, so a recycled spec keeps its
+  // component buffer's capacity.
+  //
   // Sequential ids (not the log's): replay ids must match what a synthetic
   // run would have assigned so an exported-then-replayed schedule lines up
   // job-for-job with its origin.
-  job.id = emitted_;
-  job.arrival_time = rec.submit_time * config_->arrival_scale;
-  job.total_size = rec.processors;
+  out.id = emitted_;
+  out.arrival_time = rec.submit_time * config_->arrival_scale;
+  out.total_size = rec.processors;
+  out.ordered_clusters.clear();
   if (config_->split_jobs) {
-    job.request_type = RequestType::kUnordered;
-    job.components = split_job(rec.processors, config_->component_limit,
-                               config_->num_clusters);
+    out.request_type = RequestType::kUnordered;
+    split_job(rec.processors, config_->component_limit, config_->num_clusters,
+              out.components);
   } else {
-    job.request_type = RequestType::kTotal;
-    job.components = {rec.processors};
+    out.request_type = RequestType::kTotal;
+    out.components.assign(1, rec.processors);
   }
-  job.wide_area = job.components.size() > 1;
+  out.wide_area = out.components.size() > 1;
   // The log records elapsed execution time, i.e. the *gross* (extended)
   // service time; the net time is only used for slowdown reporting.
-  job.gross_service_time = rec.run_time;
-  job.service_time =
-      job.wide_area ? rec.run_time / config_->extension_factor : rec.run_time;
-  job.origin_queue = rec.user_id % config_->num_clusters;
+  out.gross_service_time = rec.run_time;
+  out.service_time =
+      out.wide_area ? rec.run_time / config_->extension_factor : rec.run_time;
+  out.origin_queue = rec.user_id % config_->num_clusters;
 
   ++emitted_;
-  out = std::move(job);
 }
 
 bool TraceWorkload::next(JobSpec& out) {

@@ -94,12 +94,20 @@ class WorkloadGenerator {
  public:
   WorkloadGenerator(WorkloadConfig config, std::uint64_t master_seed);
 
-  /// Generate the next arrival (arrival times strictly increase).
-  JobSpec next();
+  /// Generate the next arrival (arrival times strictly increase) into
+  /// `job`, overwriting every field. The component vectors keep their
+  /// capacity, so refilling a recycled spec never touches the allocator.
+  void next(JobSpec& job);
+  JobSpec next() {
+    JobSpec job;
+    next(job);
+    return job;
+  }
 
   /// Generate a job body without advancing the arrival clock (used by the
-  /// constant-backlog saturation driver, which ignores arrival times).
-  JobSpec next_body();
+  /// constant-backlog SaturationSimulation, which ignores arrival times);
+  /// arrival_time is set to 0. Fills in place like next(JobSpec&).
+  void next_body(JobSpec& job);
 
   [[nodiscard]] const WorkloadConfig& config() const { return config_; }
   [[nodiscard]] std::uint64_t jobs_generated() const { return next_id_; }
@@ -114,6 +122,8 @@ class WorkloadGenerator {
   Rng queue_rng_;
   Rng placement_rng_;
   std::vector<double> queue_cumulative_;
+  /// Ordered requests' cluster shuffle, kept to reuse its capacity.
+  std::vector<std::uint32_t> cluster_shuffle_;
   double clock_ = 0.0;
   std::uint64_t next_id_ = 0;
 };

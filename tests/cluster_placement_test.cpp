@@ -164,14 +164,14 @@ TEST(LoadAware, OrdersByIdleFractionNotAbsoluteIdle) {
   const std::vector<std::uint32_t> idle{20, 18};
   const std::vector<std::uint32_t> capacities{64, 32};
   PlacementScratch scratch;
-  const auto la =
-      place_components({10}, idle, capacities, PlacementRule::kLoadAware, scratch);
-  ASSERT_TRUE(la.has_value());
-  EXPECT_EQ((*la)[0].cluster, 1u);
-  const auto wf =
-      place_components({10}, idle, capacities, PlacementRule::kWorstFit, scratch);
-  ASSERT_TRUE(wf.has_value());
-  EXPECT_EQ((*wf)[0].cluster, 0u);
+  Allocation la;
+  ASSERT_TRUE(
+      place_components({10}, idle, capacities, PlacementRule::kLoadAware, scratch, la));
+  EXPECT_EQ(la[0].cluster, 1u);
+  Allocation wf;
+  ASSERT_TRUE(
+      place_components({10}, idle, capacities, PlacementRule::kWorstFit, scratch, wf));
+  EXPECT_EQ(wf[0].cluster, 0u);
 }
 
 TEST(LoadAware, MatchesWorstFitOnHomogeneousCapacities) {
@@ -189,16 +189,17 @@ TEST(LoadAware, MatchesWorstFitOnHomogeneousCapacities) {
       components.push_back(1 + static_cast<std::uint32_t>(rng.uniform_int(24)));
     }
     std::sort(components.rbegin(), components.rend());
-    const auto la = place_components(components, idle, capacities,
-                                     PlacementRule::kLoadAware, scratch);
-    const auto wf = place_components(components, idle, capacities,
-                                     PlacementRule::kWorstFit, scratch);
-    ASSERT_EQ(la.has_value(), wf.has_value());
-    if (la) {
-      for (std::size_t i = 0; i < la->size(); ++i) {
-        EXPECT_EQ((*la)[i].cluster, (*wf)[i].cluster);
-        EXPECT_EQ((*la)[i].processors, (*wf)[i].processors);
-      }
+    Allocation la;
+    Allocation wf;
+    const bool la_fits = place_components(components, idle, capacities,
+                                          PlacementRule::kLoadAware, scratch, la);
+    const bool wf_fits = place_components(components, idle, capacities,
+                                          PlacementRule::kWorstFit, scratch, wf);
+    ASSERT_EQ(la_fits, wf_fits);
+    ASSERT_EQ(la.size(), wf.size());
+    for (std::size_t i = 0; i < la.size(); ++i) {
+      EXPECT_EQ(la[i].cluster, wf[i].cluster);
+      EXPECT_EQ(la[i].processors, wf[i].processors);
     }
   }
 }
@@ -208,10 +209,10 @@ TEST(LoadAware, FractionTieBreaksTowardLowerClusterId) {
   const std::vector<std::uint32_t> idle{32, 16};
   const std::vector<std::uint32_t> capacities{64, 32};
   PlacementScratch scratch;
-  const auto alloc =
-      place_components({8}, idle, capacities, PlacementRule::kLoadAware, scratch);
-  ASSERT_TRUE(alloc.has_value());
-  EXPECT_EQ((*alloc)[0].cluster, 0u);
+  Allocation alloc;
+  ASSERT_TRUE(
+      place_components({8}, idle, capacities, PlacementRule::kLoadAware, scratch, alloc));
+  EXPECT_EQ(alloc[0].cluster, 0u);
 }
 
 TEST(LoadAware, RequiresTheCapacityAwareOverload) {
@@ -219,8 +220,9 @@ TEST(LoadAware, RequiresTheCapacityAwareOverload) {
   EXPECT_THROW(place_components({8}, {32, 32}, PlacementRule::kLoadAware),
                std::invalid_argument);
   PlacementScratch scratch;
+  Allocation out;
   EXPECT_THROW(
-      place_components({8}, {32, 32}, PlacementRule::kLoadAware, scratch),
+      (void)place_components({8}, {32, 32}, {}, PlacementRule::kLoadAware, scratch, out),
       std::invalid_argument);
 }
 

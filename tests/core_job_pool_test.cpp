@@ -15,23 +15,29 @@
 namespace mcsim {
 namespace {
 
-JobSpec spec_with_id(std::uint64_t id) {
-  JobSpec spec;
-  spec.id = id;
-  spec.components = {4};
-  spec.total_size = 4;
-  spec.service_time = 10.0;
-  spec.gross_service_time = 10.0;
-  return spec;
+/// Every job here has one component; the pool reserves room for up to
+/// one per cluster of the paper's four-cluster system.
+constexpr std::size_t kClusters = 4;
+
+/// Acquire a job and fill its spec in place, the way the engine's job
+/// source does.
+Job* acquire_with_id(JobPool& pool, std::uint64_t id) {
+  Job* job = pool.acquire();
+  job->spec.id = id;
+  job->spec.components.assign(1, 4);
+  job->spec.total_size = 4;
+  job->spec.service_time = 10.0;
+  job->spec.gross_service_time = 10.0;
+  return job;
 }
 
 TEST(JobPool, AcquireHandsOutDistinctStableAddresses) {
-  JobPool pool;
+  JobPool pool(kClusters);
   std::set<Job*> seen;
   std::vector<Job*> jobs;
   // Cross several slab boundaries; nothing may alias and nothing may move.
   for (std::uint64_t i = 0; i < 3 * JobPool::kSlabCapacity + 7; ++i) {
-    Job* job = pool.acquire(spec_with_id(i));
+    Job* job = acquire_with_id(pool, i);
     EXPECT_TRUE(seen.insert(job).second) << "aliased live job at i=" << i;
     jobs.push_back(job);
   }
@@ -44,51 +50,57 @@ TEST(JobPool, AcquireHandsOutDistinctStableAddresses) {
 }
 
 TEST(JobPool, ReleaseRecyclesLastInFirstOut) {
-  JobPool pool;
-  Job* first = pool.acquire(spec_with_id(1));
-  Job* second = pool.acquire(spec_with_id(2));
+  JobPool pool(kClusters);
+  Job* first = acquire_with_id(pool, 1);
+  Job* second = acquire_with_id(pool, 2);
   pool.release(first);
   pool.release(second);
   // LIFO: the most recently released slot is reused first. This order is a
   // pure function of the (deterministic) departure order, which is what
   // makes recycled addresses replay identically run over run.
-  EXPECT_EQ(pool.acquire(spec_with_id(3)), second);
-  EXPECT_EQ(pool.acquire(spec_with_id(4)), first);
+  EXPECT_EQ(acquire_with_id(pool, 3), second);
+  EXPECT_EQ(acquire_with_id(pool, 4), first);
   EXPECT_EQ(pool.live(), 2u);
   EXPECT_EQ(pool.total_acquired(), 4u);
 }
 
 TEST(JobPool, RecycledJobIsFullyReset) {
-  JobPool pool;
-  Job* job = pool.acquire(spec_with_id(1));
+  JobPool pool(kClusters);
+  Job* job = acquire_with_id(pool, 1);
+  // A new slot has room for one component per cluster in both vectors.
+  EXPECT_GE(job->spec.components.capacity(), kClusters);
+  EXPECT_GE(job->allocation.capacity(), kClusters);
   job->allocation.push_back(ComponentPlacement{0, 4});
   job->start_time = 12.5;
   job->queue_class = QueueClass::kLocal;
   job->considered = true;
   const std::size_t capacity = job->allocation.capacity();
+  const std::uint32_t* components = job->spec.components.data();
   pool.release(job);
 
-  Job* recycled = pool.acquire(spec_with_id(2));
+  Job* recycled = acquire_with_id(pool, 2);
   ASSERT_EQ(recycled, job);
   EXPECT_EQ(recycled->spec.id, 2u);
   EXPECT_TRUE(recycled->allocation.empty());
   // reset() clears but keeps the vector's buffer: a recycled job places
   // again without touching the allocator.
   EXPECT_GE(recycled->allocation.capacity(), capacity);
+  // The spec is refilled in place, so its component buffer is the old one.
+  EXPECT_EQ(recycled->spec.components.data(), components);
   EXPECT_FALSE(recycled->started());
   EXPECT_EQ(recycled->queue_class, QueueClass::kGlobal);
   EXPECT_FALSE(recycled->considered);
 }
 
 TEST(JobPool, CapacityCountsConstructedJobs) {
-  JobPool pool;
+  JobPool pool(kClusters);
   EXPECT_EQ(pool.capacity(), 0u);
-  Job* job = pool.acquire(spec_with_id(1));
+  Job* job = acquire_with_id(pool, 1);
   EXPECT_EQ(pool.capacity(), 1u);
   EXPECT_EQ(pool.slab_count(), 1u);
   // Recycling does not grow capacity.
   pool.release(job);
-  (void)pool.acquire(spec_with_id(2));
+  (void)acquire_with_id(pool, 2);
   EXPECT_EQ(pool.capacity(), 1u);
 }
 

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "test_support.hpp"
 
@@ -41,9 +42,13 @@ TEST(JobQueue, FifoOrder) {
   queue.push(make_job(1, {4}));
   queue.push(make_job(2, {8}));
   queue.push(make_job(3, {2}));
+  queue.push(make_job(4, {1}));
   EXPECT_EQ(queue.pop()->spec.id, 1u);
+  // remove_at counts from the head, past the popped slot, and keeps the
+  // jobs left in order.
+  EXPECT_EQ(queue.remove_at(1)->spec.id, 3u);
   EXPECT_EQ(queue.pop()->spec.id, 2u);
-  EXPECT_EQ(queue.pop()->spec.id, 3u);
+  EXPECT_EQ(queue.pop()->spec.id, 4u);
   EXPECT_TRUE(queue.empty());
 }
 
@@ -85,7 +90,7 @@ TEST(JobQueue, CountsTotalEnqueued) {
 
 TEST(JobQueue, ReorderingNeverTouchesAllocator) {
   JobQueue queue;
-  // Smallest-first: every push lands somewhere in the middle of the deque,
+  // Smallest-first: every push lands somewhere in the middle of the queue,
   // exercising the priority-insert walk, not just push_back.
   queue.set_order([](const Job& a, const Job& b) {
     return a.spec.total_size < b.spec.total_size;
@@ -101,7 +106,7 @@ TEST(JobQueue, ReorderingNeverTouchesAllocator) {
     jobs[i] = make_job(i + 1, {size});
   }
 
-  // Warm-up round: lets the deque grab whatever block structure this
+  // Warm-up round: lets the queue's buffer reach the capacity this
   // push/insert/pop pattern needs, outside the probed region.
   for (JobPtr job : jobs) queue.push(job);
   while (!queue.empty()) queue.pop();
@@ -122,6 +127,39 @@ TEST(JobQueue, ReorderingNeverTouchesAllocator) {
   for (std::size_t i = 1; i < popped.size(); ++i) {
     EXPECT_LE(popped[i - 1]->spec.total_size, popped[i]->spec.total_size);
   }
+}
+
+TEST(JobQueue, SteadyFlowReusesItsBuffer) {
+  // A FIFO queue held at a constant depth while jobs flow through it, the
+  // way a simulation uses it: once warmed up, the buffer is recycled in
+  // place (a std::deque would allocate a block every 64 pushes), and
+  // service order stays FIFO across every reclaim of popped slots.
+  JobQueue queue;
+  constexpr std::size_t kDepth = 5;
+  constexpr std::size_t kFlow = 1000;
+  std::vector<JobPtr> jobs;
+  for (std::size_t i = 0; i < kDepth + 2 * kFlow; ++i) {
+    jobs.push_back(make_job(i, {1}));
+  }
+  std::vector<std::uint64_t> served(2 * kFlow);
+  std::size_t next = 0;
+  for (; next < kDepth; ++next) queue.push(jobs[next]);
+  // Warm-up flow, then the probed one.
+  for (std::size_t i = 0; i < kFlow; ++i) {
+    queue.push(jobs[next++]);
+    served[i] = queue.pop()->spec.id;
+  }
+  const std::size_t allocations_before = g_allocation_count;
+  for (std::size_t i = kFlow; i < 2 * kFlow; ++i) {
+    queue.push(jobs[next++]);
+    served[i] = queue.pop()->spec.id;
+  }
+  const std::size_t allocations_after = g_allocation_count;
+
+  EXPECT_EQ(allocations_after, allocations_before)
+      << "steady FIFO flow reached the allocator";
+  for (std::size_t i = 0; i < served.size(); ++i) EXPECT_EQ(served[i], i);
+  EXPECT_EQ(queue.size(), kDepth);
 }
 
 TEST(Job, SpecDerivedAccessors) {

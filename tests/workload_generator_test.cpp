@@ -158,7 +158,8 @@ TEST(WorkloadGenerator, CommonRandomNumbersAcrossArrivalRates) {
 
 TEST(WorkloadGenerator, NextBodyDoesNotAdvanceClock) {
   WorkloadGenerator gen(base_config(), 37);
-  const JobSpec body = gen.next_body();
+  JobSpec body;
+  gen.next_body(body);
   EXPECT_DOUBLE_EQ(body.arrival_time, 0.0);
   EXPECT_GT(body.total_size, 0u);
 }
@@ -174,8 +175,9 @@ TEST(WorkloadGenerator, MeanExtendedSizeMatchesEmpirical) {
   WorkloadGenerator gen(config, 43);
   double sum = 0.0;
   constexpr int kN = 200000;
+  JobSpec job;  // refilled in place, as SaturationSimulation does
   for (int i = 0; i < kN; ++i) {
-    const JobSpec job = gen.next_body();
+    gen.next_body(job);
     sum += job.total_size * (job.components.size() > 1 ? 1.25 : 1.0);
   }
   EXPECT_NEAR(sum / kN, config.mean_extended_size(), 0.01 * config.mean_extended_size());

@@ -20,42 +20,49 @@ TEST(RequestType, NamesRoundTrip) {
 }
 
 TEST(PlaceOrdered, RespectsNamedClusters) {
-  const auto alloc = place_ordered({10, 8}, {2, 0}, {32, 32, 32, 32});
-  ASSERT_TRUE(alloc.has_value());
-  EXPECT_EQ((*alloc)[0].cluster, 2u);
-  EXPECT_EQ((*alloc)[0].processors, 10u);
-  EXPECT_EQ((*alloc)[1].cluster, 0u);
+  Allocation alloc;
+  ASSERT_TRUE(place_ordered({10, 8}, {2, 0}, {32, 32, 32, 32}, alloc));
+  EXPECT_EQ(alloc[0].cluster, 2u);
+  EXPECT_EQ(alloc[0].processors, 10u);
+  EXPECT_EQ(alloc[1].cluster, 0u);
 }
 
 TEST(PlaceOrdered, FailsWhenNamedClusterFull) {
   // Unordered would fit (choose cluster 1), ordered may not.
-  EXPECT_FALSE(place_ordered({10}, {0}, {4, 32}).has_value());
+  Allocation alloc;
+  EXPECT_FALSE(place_ordered({10}, {0}, {4, 32}, alloc));
+  EXPECT_TRUE(alloc.empty());
   EXPECT_TRUE(place_components({10}, {4, 32}).has_value());
 }
 
 TEST(PlaceOrdered, TwoComponentsOnSameClusterShareIdle) {
-  EXPECT_TRUE(place_ordered({16, 16}, {0, 0}, {32, 0}).has_value());
-  EXPECT_FALSE(place_ordered({17, 16}, {0, 0}, {32, 0}).has_value());
+  Allocation alloc;
+  EXPECT_TRUE(place_ordered({16, 16}, {0, 0}, {32, 0}, alloc));
+  EXPECT_FALSE(place_ordered({17, 16}, {0, 0}, {32, 0}, alloc));
+  EXPECT_TRUE(alloc.empty());
 }
 
 TEST(PlaceOrdered, MismatchedListsThrow) {
-  EXPECT_THROW(place_ordered({10, 8}, {0}, {32, 32}), std::invalid_argument);
-  EXPECT_THROW(place_ordered({10}, {7}, {32, 32}), std::invalid_argument);
+  Allocation alloc;
+  EXPECT_THROW(place_ordered({10, 8}, {0}, {32, 32}, alloc), std::invalid_argument);
+  EXPECT_THROW(place_ordered({10}, {7}, {32, 32}, alloc), std::invalid_argument);
 }
 
 TEST(PlaceFlexible, PrefersSingleCluster) {
-  const auto alloc = place_flexible(20, {32, 8, 16, 4});
-  ASSERT_TRUE(alloc.has_value());
-  ASSERT_EQ(alloc->size(), 1u);
-  EXPECT_EQ((*alloc)[0].cluster, 0u);
+  PlacementScratch scratch;
+  Allocation alloc;
+  ASSERT_TRUE(place_flexible(20, {32, 8, 16, 4}, scratch, alloc));
+  ASSERT_EQ(alloc.size(), 1u);
+  EXPECT_EQ(alloc[0].cluster, 0u);
 }
 
 TEST(PlaceFlexible, SpreadsWhenNoSingleClusterFits) {
-  const auto alloc = place_flexible(40, {32, 8, 16, 4});
-  ASSERT_TRUE(alloc.has_value());
+  PlacementScratch scratch;
+  Allocation alloc;
+  ASSERT_TRUE(place_flexible(40, {32, 8, 16, 4}, scratch, alloc));
   std::uint32_t total = 0;
   std::set<ClusterId> used;
-  for (const auto& p : *alloc) {
+  for (const auto& p : alloc) {
     total += p.processors;
     EXPECT_TRUE(used.insert(p.cluster).second);
   }
@@ -63,12 +70,17 @@ TEST(PlaceFlexible, SpreadsWhenNoSingleClusterFits) {
 }
 
 TEST(PlaceFlexible, FitsIffTotalIdleSuffices) {
-  EXPECT_TRUE(place_flexible(60, {32, 8, 16, 4}).has_value());
-  EXPECT_FALSE(place_flexible(61, {32, 8, 16, 4}).has_value());
+  PlacementScratch scratch;
+  Allocation alloc;
+  EXPECT_TRUE(place_flexible(60, {32, 8, 16, 4}, scratch, alloc));
+  EXPECT_FALSE(place_flexible(61, {32, 8, 16, 4}, scratch, alloc));
+  EXPECT_TRUE(alloc.empty());
 }
 
 TEST(PlaceFlexible, ZeroSizeThrows) {
-  EXPECT_THROW(place_flexible(0, {32}), std::invalid_argument);
+  PlacementScratch scratch;
+  Allocation alloc;
+  EXPECT_THROW(place_flexible(0, {32}, scratch, alloc), std::invalid_argument);
 }
 
 WorkloadConfig request_config(RequestType type) {
@@ -85,8 +97,9 @@ WorkloadConfig request_config(RequestType type) {
 
 TEST(OrderedWorkload, ComponentsGetDistinctClusters) {
   WorkloadGenerator gen(request_config(RequestType::kOrdered), 5);
+  JobSpec job;  // refilled in place, as SaturationSimulation does
   for (int i = 0; i < 2000; ++i) {
-    const JobSpec job = gen.next_body();
+    gen.next_body(job);
     ASSERT_EQ(job.ordered_clusters.size(), job.components.size());
     std::set<std::uint32_t> clusters(job.ordered_clusters.begin(),
                                      job.ordered_clusters.end());
@@ -100,8 +113,9 @@ TEST(OrderedWorkload, ClusterAssignmentIsUniform) {
   WorkloadGenerator gen(request_config(RequestType::kOrdered), 7);
   std::array<int, 4> first_cluster{};
   int multi = 0;
+  JobSpec job;  // refilled in place, as SaturationSimulation does
   for (int i = 0; i < 40000; ++i) {
-    const JobSpec job = gen.next_body();
+    gen.next_body(job);
     if (job.components.size() > 1) {
       ++first_cluster[job.ordered_clusters[0]];
       ++multi;
@@ -114,8 +128,9 @@ TEST(OrderedWorkload, ClusterAssignmentIsUniform) {
 
 TEST(FlexibleWorkload, SingleComponentCarriesTotal) {
   WorkloadGenerator gen(request_config(RequestType::kFlexible), 9);
+  JobSpec job;  // refilled in place, as SaturationSimulation does
   for (int i = 0; i < 2000; ++i) {
-    const JobSpec job = gen.next_body();
+    gen.next_body(job);
     ASSERT_EQ(job.components.size(), 1u);
     EXPECT_EQ(job.components[0], job.total_size);
     EXPECT_EQ(job.wide_area, job.total_size > 32);

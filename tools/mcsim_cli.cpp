@@ -56,6 +56,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/saturation.hpp"
 #include "exp/corpus.hpp"
@@ -101,6 +102,22 @@ auto as_usage(Fn&& fn) -> decltype(fn()) {
   } catch (const std::invalid_argument& error) {
     throw CliUsageError(error.what());
   }
+}
+
+/// Positional check for the verbs that take one file: exactly one
+/// positional argument (at most one when `required` is false). Otherwise it
+/// prints the verb's usage line and returns false, and the caller exits
+/// with kExitUsage — `mcsim run a.json b.json` must not run a.json and
+/// silently skip b.json.
+bool one_positional(const CliParser& parser, const char* usage, bool required = true) {
+  const std::vector<std::string>& args = parser.positional();
+  if (args.size() == 1 || (args.empty() && !required)) return true;
+  if (args.size() > 1) {
+    std::cerr << "mcsim: unexpected extra argument '" << args[1]
+              << "' (this command takes one file)\n";
+  }
+  std::cerr << usage;
+  return false;
 }
 
 void add_scenario_options(CliParser& parser) {
@@ -481,9 +498,9 @@ int cmd_replay(int argc, const char* const* argv) {
     }
     return execute_corpus(as_usage([&] { return spec_from(parser); }), parser);
   }
-  if (parser.positional().empty()) {
-    std::cerr << "usage: mcsim replay <trace.swf> [options]\n"
-                 "       mcsim replay --corpus=<dir> [options]\n";
+  if (!one_positional(parser,
+                      "usage: mcsim replay <trace.swf> [options]\n"
+                      "       mcsim replay --corpus=<dir> [options]\n")) {
     return kExitUsage;
   }
 
@@ -621,8 +638,7 @@ int cmd_run(int argc, const char* const* argv) {
   CliParser parser("mcsim run: execute a scenario file (docs/SCENARIOS.md)");
   add_run_options(parser);
   if (!parser.parse(argc, argv)) return 0;
-  if (parser.positional().empty()) {
-    std::cerr << "usage: mcsim run <scenario.json> [options]\n";
+  if (!one_positional(parser, "usage: mcsim run <scenario.json> [options]\n")) {
     return kExitUsage;
   }
   exp::ScenarioSpec spec = exp::load_scenario(parser.positional().front());
@@ -634,8 +650,7 @@ int cmd_rerun(int argc, const char* const* argv) {
   CliParser parser("mcsim rerun: replay a run bit-exactly from its run manifest");
   add_run_options(parser);
   if (!parser.parse(argc, argv)) return 0;
-  if (parser.positional().empty()) {
-    std::cerr << "usage: mcsim rerun <manifest.json> [options]\n";
+  if (!one_positional(parser, "usage: mcsim rerun <manifest.json> [options]\n")) {
     return kExitUsage;
   }
   const std::string path = parser.positional().front();
@@ -671,6 +686,10 @@ int cmd_verify(int argc, const char* const* argv) {
                     "parallel scenario runs (worker threads)");
   parser.add_flag("update", "regenerate the goldens from the current build");
   if (!parser.parse(argc, argv)) return 0;
+  if (!one_positional(parser, "usage: mcsim verify [golden-dir] [options]\n",
+                      /*required=*/false)) {
+    return kExitUsage;
+  }
 
   const std::string golden_dir =
       parser.positional().empty() ? "data/golden" : parser.positional().front();
@@ -734,8 +753,7 @@ int cmd_trace_stats(int argc, const char* const* argv) {
   CliParser parser("mcsim trace-stats: characterise an SWF trace");
   parser.add_option("capacity", "128", "machine size for the utilization timeline");
   if (!parser.parse(argc, argv)) return 0;
-  if (parser.positional().empty()) {
-    std::cerr << "usage: mcsim trace-stats <trace.swf>\n";
+  if (!one_positional(parser, "usage: mcsim trace-stats <trace.swf>\n")) {
     return kExitUsage;
   }
   const auto trace = read_swf_file(parser.positional().front());
@@ -792,8 +810,7 @@ int cmd_submit(int argc, const char* const* argv) {
   parser.add_option("timeout", "600", "seconds to wait for each response");
   parser.add_flag("no-wait", "print the run id and exit without waiting");
   if (!parser.parse(argc, argv)) return 0;
-  if (parser.positional().empty()) {
-    std::cerr << "usage: mcsim submit <scenario.json> [options]\n";
+  if (!one_positional(parser, "usage: mcsim submit <scenario.json> [options]\n")) {
     return kExitUsage;
   }
 
